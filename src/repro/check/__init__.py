@@ -24,8 +24,8 @@ package enforces them three ways:
   ``--coverage`` flag reports per-module annotation coverage.
 
 * **the sanitizer** (:mod:`repro.check.sanitizer`) — an opt-in
-  :class:`SanitizingTracer` that rides the :mod:`repro.obs` telemetry
-  stream and fails fast the moment a run violates the power-budget,
+  :class:`Sanitizer` sink (or :class:`SanitizingTracer`) that rides the
+  :mod:`repro.obs` telemetry stream and fails fast the moment a run violates the power-budget,
   energy-accounting, volume-monotonicity, clock or quality invariants.
   Enable with ``--sanitize`` on the CLI or ``REPRO_SANITIZE=1``.
 
@@ -37,13 +37,14 @@ from __future__ import annotations
 
 from repro.check.linter import Finding, lint_paths, lint_source
 from repro.check.rules import RULES, Rule, rule_catalog
-from repro.check.sanitizer import SanitizingTracer, SanitizerViolation
+from repro.check.sanitizer import Sanitizer, SanitizerViolation, SanitizingTracer
 from repro.check.units import UNITS_RULES, UnitsReport, check_paths, check_source
 
 __all__ = [
     "Finding",
     "RULES",
     "Rule",
+    "Sanitizer",
     "SanitizerViolation",
     "SanitizingTracer",
     "UNITS_RULES",

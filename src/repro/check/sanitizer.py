@@ -1,9 +1,9 @@
 """Runtime invariant sanitizer riding the :mod:`repro.obs` trace stream.
 
-:class:`SanitizingTracer` is a drop-in :class:`repro.obs.tracer.Tracer`
-that verifies, *as telemetry is emitted*, the physical invariants the
-paper's accounting rests on — and raises :class:`SanitizerViolation`
-with the offending record attached the moment one breaks:
+:class:`Sanitizer` is a tracer sink that verifies, *as telemetry is
+emitted*, the physical invariants the paper's accounting rests on — and
+raises :class:`SanitizerViolation` with the offending record attached
+the moment one breaks:
 
 * **power budget** (§III-D): at every quantum boundary the summed
   per-core dynamic power is at most ``H·(1+ε)``;
@@ -20,10 +20,14 @@ with the offending record attached the moment one breaks:
   must trigger the BQ compensation switch, so an AES decision below the
   floor means the controller is broken.
 
-Enable via ``--sanitize`` on ``repro run`` / ``scenario`` / ``trace``
-or by exporting ``REPRO_SANITIZE=1``.  The checks are read-only: a run
-that passes produces a bit-identical :class:`RunResult` to an untraced
-one (same guarantee as the plain tracer).
+:class:`SanitizingTracer` is a :class:`repro.obs.tracer.Tracer` with a
+:class:`~repro.obs.tracer.Buffer` and a :class:`Sanitizer` as sinks;
+the sanitizer composes with any other sink (``--sanitize --stream``
+runs it next to the stream aggregator).  Enable via ``--sanitize`` on
+``repro run`` / ``scenario`` / ``trace`` or by exporting
+``REPRO_SANITIZE=1``.  The checks are read-only: a run that passes
+produces a bit-identical :class:`RunResult` to an untraced one (same
+guarantee as the plain tracer).
 
 The energy cross-check re-integrates each core's timeline from scratch
 at every sample, so a sanitized run costs O(samples × breakpoints) —
@@ -34,13 +38,14 @@ tunable via ``energy_check_every``.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.spans import EventRecord, SpanRecord
-from repro.obs.tracer import Tracer
+from repro.obs.timeline import TimelineSample
+from repro.obs.tracer import Buffer, Sink, Tracer
 from repro.units import Seconds, Volume
 
-__all__ = ["SanitizerViolation", "SanitizingTracer", "sanitize_requested"]
+__all__ = ["Sanitizer", "SanitizerViolation", "SanitizingTracer", "sanitize_requested"]
 
 #: Relative slack on budget/energy/volume comparisons (float noise).
 _REL_EPS = 1e-6
@@ -74,8 +79,8 @@ def sanitize_requested(flag: bool = False) -> bool:
     }
 
 
-class SanitizingTracer(Tracer):
-    """A :class:`Tracer` that asserts simulation invariants as it records.
+class Sanitizer(Sink):
+    """A sink that asserts simulation invariants on every record.
 
     Parameters
     ----------
@@ -98,7 +103,6 @@ class SanitizingTracer(Tracer):
         q_floor: Optional[float] = None,
         energy_check_every: int = 1,
     ) -> None:
-        super().__init__()
         if energy_check_every < 1:
             raise ValueError("energy_check_every must be >= 1")
         self.budget = None if budget is None else float(budget)
@@ -111,7 +115,7 @@ class SanitizingTracer(Tracer):
         self._sample_batches = 0
 
     @classmethod
-    def for_run(cls, config: Any, scheduler: Any = None) -> "SanitizingTracer":
+    def for_run(cls, config: Any, scheduler: Any = None) -> "Sanitizer":
         """Build a sanitizer wired to one run's configuration.
 
         The quality-floor check is only armed when ``scheduler`` is a
@@ -149,64 +153,44 @@ class SanitizingTracer(Tracer):
         self._last_time = max(self._last_time, time)
 
     # ------------------------------------------------------------------
-    # Tracer overrides
+    # Sink hooks
     # ------------------------------------------------------------------
-    def begin_span(
-        self,
-        name: str,
-        time: Seconds,
-        *,
-        parent: Optional[SpanRecord] = None,
-        **attrs: Any,
-    ) -> SpanRecord:
-        self._advance_clock(time, f"span `{name}` start", span_name=name)
-        span = super().begin_span(name, time, parent=parent, **attrs)
-        if name == "job":
-            self._demand[int(attrs["jid"])] = float(attrs["demand"])
-        return span
+    def on_span_open(self, span: SpanRecord) -> None:
+        self._advance_clock(span.start, f"span `{span.name}` start", span_name=span.name)
+        if span.name == "job":
+            self._demand[int(span.attrs["jid"])] = float(span.attrs["demand"])
 
-    def event(
-        self,
-        kind: str,
-        time: Seconds,
-        *,
-        span: Optional[SpanRecord] = None,
-        **attrs: Any,
-    ) -> EventRecord:
-        self._advance_clock(time, f"event `{kind}`", kind=kind)
-        record = super().event(kind, time, span=span, **attrs)
-        if kind == "decision":
-            self._check_decision(record)
-        elif kind == "chaos":
+    def on_event(self, event: EventRecord) -> None:
+        self._advance_clock(event.time, f"event `{event.kind}`", kind=event.kind)
+        if event.kind == "decision":
+            self._check_decision(event)
+        elif event.kind == "chaos":
             # Budget dips/restores (repro.chaos) change H mid-run; the
             # power-budget bound must follow the *current* H, so a plan
             # that overdraws during a dip fails even though it would fit
             # the configured budget.
-            budget_w = attrs.get("budget_w")
+            budget_w = event.attrs.get("budget_w")
             if budget_w is not None and self.budget is not None:
                 self.budget = float(budget_w)
-        return record
 
-    def exec_end(self, span: SpanRecord, time: Seconds, done: Volume) -> None:
-        self._advance_clock(time, "exec slice end", span_id=span.span_id)
-        super().exec_end(span, time, done)
-        self._check_exec_volume(span, time, done)
+    def on_span_close(self, span: SpanRecord) -> None:
+        assert span.end is not None
+        if span.name == "exec":
+            self._advance_clock(span.end, "exec slice end", span_id=span.span_id)
+            self._check_exec_volume(span, span.end, float(span.attrs["done"]))
+        elif span.name == "job":
+            self._check_settled_volume(span, span.end)
 
-    def job_settled(self, job: Any, time: Seconds) -> None:
-        super().job_settled(job, time)
-        self._check_settled_volume(job, time)
-
-    def sample_cores(self, machine: Any, time: Seconds) -> None:
+    def on_sample_batch(
+        self, time: Seconds, samples: List[TimelineSample], machine: Any = None
+    ) -> None:
         self._advance_clock(time, "core sample")
-        before = len(self.samples)
-        super().sample_cores(machine, time)
-        batch = self.samples[before:]
-        if not batch:
+        if not samples:
             return
         self._sample_batches += 1
-        self._check_power_budget(batch, time)
+        self._check_power_budget(samples, time)
         if self._sample_batches % self.energy_check_every == 0:
-            self._check_energy(machine, batch, time)
+            self._check_energy(machine, samples, time)
 
     # ------------------------------------------------------------------
     # The invariants
@@ -274,17 +258,18 @@ class SanitizingTracer(Tracer):
                     span=span.to_record(),
                 )
 
-    def _check_settled_volume(self, job: Any, time: Seconds) -> None:
+    def _check_settled_volume(self, span: SpanRecord, time: Seconds) -> None:
         self.checks_run += 1
-        processed = float(job.processed)
-        demand = float(job.demand)
+        jid = span.attrs["jid"]
+        processed = float(span.attrs["processed"])
+        demand = float(span.attrs["demand"])
         if processed < -_ABS_EPS or processed > demand * (1.0 + _REL_EPS) + _ABS_EPS:
             self._fail(
                 "volume_bounded",
-                f"job {job.jid} settled with processed={processed!r} outside "
+                f"job {jid} settled with processed={processed!r} outside "
                 f"[0, p_j={demand!r}] (t={time:.6f})",
                 time=time,
-                jid=job.jid,
+                jid=jid,
                 processed=processed,
                 demand=demand,
             )
@@ -317,3 +302,34 @@ class SanitizingTracer(Tracer):
                 quality=quality,
                 q_floor=self.q_floor,
             )
+
+
+class SanitizingTracer(Tracer):
+    """A buffering :class:`Tracer` whose records a :class:`Sanitizer` checks.
+
+    Takes the :class:`Sanitizer` parameters; the sink itself is
+    :attr:`sanitizer`.
+    """
+
+    def __init__(
+        self,
+        *,
+        budget: Optional[float] = None,
+        q_floor: Optional[float] = None,
+        energy_check_every: int = 1,
+    ) -> None:
+        self.sanitizer = Sanitizer(
+            budget=budget, q_floor=q_floor, energy_check_every=energy_check_every
+        )
+        super().__init__(sinks=(Buffer(), self.sanitizer))
+
+    @classmethod
+    def for_run(cls, config: Any, scheduler: Any = None) -> "SanitizingTracer":
+        """A sanitizing tracer wired like :meth:`Sanitizer.for_run`."""
+        sanitizer = Sanitizer.for_run(config, scheduler)
+        return cls(budget=sanitizer.budget, q_floor=sanitizer.q_floor)
+
+    # The sink's live settings and check count, read through the tracer.
+    budget = property(lambda self: self.sanitizer.budget)
+    q_floor = property(lambda self: self.sanitizer.q_floor)
+    checks_run = property(lambda self: self.sanitizer.checks_run)

@@ -380,25 +380,24 @@ def _new_tracer_if(active: bool, *, sanitize: bool = False,
                    stream: bool = False, spill: Optional[str] = None):
     """A fresh tracer when tracing/sanitizing was requested, else None.
 
-    Sanitizing implies tracing: the invariant checks ride the trace
-    stream (:class:`repro.check.SanitizingTracer`).  ``stream`` selects
+    Sanitizing implies tracing: the invariant checks are a sink on the
+    trace stream (:class:`repro.check.Sanitizer`).  ``stream`` selects
     the constant-memory :class:`repro.obs.StreamingTracer` instead of
-    the buffering one, spilling raw records to ``spill`` when given.
+    the buffering one, spilling raw records to ``spill`` when given;
+    with both, the sanitizer rides next to the stream aggregator.
     """
-    from repro.check.sanitizer import sanitize_requested
+    from repro.check.sanitizer import Sanitizer, SanitizingTracer, sanitize_requested
 
-    if sanitize_requested(sanitize):
-        if stream:
-            print("--sanitize and --stream are mutually exclusive "
-                  "(the sanitizer rides the buffering tracer)")
-            raise SystemExit(2)
-        from repro.check.sanitizer import SanitizingTracer
-
-        return SanitizingTracer.for_run(config, scheduler)
+    sanitize = sanitize_requested(sanitize)
     if stream:
         from repro.obs import StreamingTracer
 
-        return StreamingTracer(spill_path=spill)
+        tracer = StreamingTracer(spill_path=spill)
+        if sanitize:
+            tracer.sinks += (Sanitizer.for_run(config, scheduler),)
+        return tracer
+    if sanitize:
+        return SanitizingTracer.for_run(config, scheduler)
     if not active:
         return None
     from repro.obs import Tracer
@@ -408,10 +407,11 @@ def _new_tracer_if(active: bool, *, sanitize: bool = False,
 
 def _report_sanitizer(tracer) -> None:
     """Print the clean-run summary line after a sanitized run."""
-    from repro.check.sanitizer import SanitizingTracer
+    from repro.check.sanitizer import Sanitizer
 
-    if isinstance(tracer, SanitizingTracer):
-        print(f"sanitizer: {tracer.checks_run} invariant checks passed")
+    for sink in getattr(tracer, "sinks", ()):
+        if isinstance(sink, Sanitizer):
+            print(f"sanitizer: {sink.checks_run} invariant checks passed")
 
 
 def _emit_trace(tracer, *, out=None, timeline_csv=None, spans_csv=None,

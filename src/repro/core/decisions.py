@@ -1,25 +1,27 @@
 """Structured logging of GE's scheduling decisions.
 
-Attach a :class:`DecisionLog` to a :class:`repro.core.ge.GEScheduler`
-to record one :class:`Decision` per scheduling round: when it ran, what
-triggered it, the mode chosen, the power policy used, the batch size
-and the resulting per-core caps.  The log is bounded (ring buffer) so
-long runs stay cheap, and renders to rows for offline inspection —
-``examples/diurnal_load.py``-style debugging without print statements.
+GE emits one :class:`Decision` per scheduling round as a ``decision``
+trace event: when it ran, the mode chosen, the power policy used, the
+batch size and the resulting per-core caps.  A :class:`DecisionLog` is
+a tracer sink that keeps the latest of them in a bounded ring buffer
+and renders them to rows for offline inspection —
+``examples/diurnal_load.py``-style debugging without print statements::
 
-The log is now a thin view over the :mod:`repro.obs` tracing layer:
-construct it with a :class:`repro.obs.Tracer` and every recorded round
-is also emitted as a ``decision`` trace event, putting the ring buffer
-and the exported JSONL on the same stream.  The standalone (tracer-less)
-usage is unchanged.
+    log = DecisionLog()
+    tracer = Tracer(sinks=(log,))   # add Buffer() to keep the full trace
+    SimulationHarness(config, make_ge(), tracer=tracer).run()
+    print("\n".join(log.to_rows(limit=5)))
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from repro.units import QualityFrac, Seconds, Watts
 from typing import Deque, Iterator, List, Optional, Tuple
+
+from repro.obs.spans import EventRecord
+from repro.obs.tracer import Sink
+from repro.units import QualityFrac, Seconds, Watts
 
 __all__ = ["Decision", "DecisionLog"]
 
@@ -53,8 +55,8 @@ class Decision:
         )
 
 
-class DecisionLog:
-    """Bounded ring buffer of :class:`Decision` records.
+class DecisionLog(Sink):
+    """Bounded ring buffer of :class:`Decision` records; a tracer sink.
 
     Parameters
     ----------
@@ -62,25 +64,17 @@ class DecisionLog:
         Maximum retained rounds.  ``None`` falls back to
         :data:`DEFAULT_CAPACITY` — the log is *always* bounded, so a
         forgotten ``maxlen=None`` can no longer grow without limit over
-        a long run (older rounds stay available through an attached
-        tracer's event stream instead).
-    tracer:
-        Optional :class:`repro.obs.Tracer`; when given (and enabled),
-        every :meth:`record` also emits a ``decision`` trace event.
+        a long run (older rounds stay available to a tracer's other
+        sinks, e.g. a JSONL spill).
     """
 
-    def __init__(
-        self,
-        capacity: Optional[int] = DEFAULT_CAPACITY,
-        tracer: Optional[TracerLike] = None,
-    ) -> None:
+    def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY) -> None:
         if capacity is None:
             capacity = DEFAULT_CAPACITY
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self._records: Deque[Decision] = deque(maxlen=capacity)
         self._total = 0
-        self.tracer = tracer
 
     @property
     def capacity(self) -> int:
@@ -88,11 +82,15 @@ class DecisionLog:
         return self._records.maxlen
 
     def record(self, decision: Decision) -> None:
-        """Append one round's record (and emit it to the tracer, if any)."""
+        """Append one round's record."""
         self._records.append(decision)
         self._total += 1
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.decision(decision)
+
+    def on_event(self, event: EventRecord) -> None:
+        """Record a ``decision`` event; other kinds are ignored."""
+        if event.kind == "decision":
+            attrs = {**event.attrs, "caps": tuple(event.attrs["caps"])}
+            self.record(Decision(time=event.time, **attrs))
 
     def __len__(self) -> int:
         return len(self._records)

@@ -25,21 +25,15 @@ from typing import TYPE_CHECKING, Dict, List, Literal, Optional, Tuple
 import numpy as np
 
 from repro.core.assignment import AssignmentPolicy, CumulativeRoundRobin
-from repro.core.decisions import DecisionLog
+from repro.core.decisions import Decision
 from repro.errors import SchedulingError
 from repro.core.cutting import WaterlineMemo, lf_cut_waterline
 from repro.core.load import ArrivalRateEstimator
 from repro.core.modes import ExecutionMode, ModeController
 from repro.core.planner import build_core_plan, core_power_demand, edf_sort
 from repro.obs.tracer import TracerLike
-from repro.units import PerSecond, PowerBudget, QualityFrac, Seconds, Volume, WattsArray
-from repro.power.distribution import (
-    EqualSharing,
-    HybridDistribution,
-    PowerDistributionPolicy,
-    WaterFilling,
-)
-from repro.server.core import Segment
+from repro.units import PerSecond, QualityFrac, Seconds, Volume, WattsArray
+from repro.power.distribution import EqualSharing, PowerDistributionPolicy, WaterFilling
 from repro.server.scheduler import Scheduler
 from repro.workload.job import Job
 
@@ -92,7 +86,6 @@ class GEScheduler(Scheduler):
         distribution: DistributionMode = "hybrid",
         assignment: Optional[AssignmentPolicy] = None,
         cut_with_history: bool = False,
-        decision_log: Optional[DecisionLog] = None,
         name: str = "GE",
     ) -> None:
         super().__init__()
@@ -103,8 +96,6 @@ class GEScheduler(Scheduler):
         self.compensated = bool(compensated)
         self.cutting = bool(cutting)
         self.cut_with_history = bool(cut_with_history)
-        #: Optional repro.core.decisions.DecisionLog for observability.
-        self.decision_log = decision_log
         #: Optional second-cut allocator override (see planner.build_core_plan).
         self._allocator = None
         self.distribution_mode: DistributionMode = distribution
@@ -112,7 +103,10 @@ class GEScheduler(Scheduler):
         # Bound in bind():
         self.controller: Optional[ModeController] = None
         self.estimator = ArrivalRateEstimator()
-        self._hybrid = HybridDistribution(light=EqualSharing(), heavy=WaterFilling())
+        # The hybrid distribution (§III-D): ES below the critical load,
+        # WF above it (see _policy_for).
+        self._es = EqualSharing()
+        self._wf = WaterFilling()
         self._active: List[List[Job]] = []
         self._critical_rate: PerSecond = float("inf")
         self._q_target: QualityFrac = 1.0
@@ -127,8 +121,6 @@ class GEScheduler(Scheduler):
         # Hot-path caches (sized in bind(); see docs/performance.md).
         self._waterline_memo = WaterlineMemo()
         self._zero_demands = np.zeros(0)
-        self._plan_keys: List[Optional[Tuple[float, float, Tuple]]] = []
-        self._plan_segments: List[Optional[List[Segment]]] = []
         self._cap_memo: List[Optional[Tuple[float, float, float]]] = []
 
     # ------------------------------------------------------------------
@@ -152,8 +144,6 @@ class GEScheduler(Scheduler):
         self._mean_demand = cfg.demand_distribution().mean
         self._waterline_memo = WaterlineMemo()
         self._zero_demands = np.zeros(cfg.m)
-        self._plan_keys = [None] * cfg.m
-        self._plan_segments = [None] * cfg.m
         self._cap_memo = [None] * cfg.m
 
     # ------------------------------------------------------------------
@@ -194,13 +184,11 @@ class GEScheduler(Scheduler):
         """
         self._failed_cores.add(core_index)
         self._active[core_index] = []
-        self._plan_keys[core_index] = None
         self._refresh_critical_rate()
         self.reschedule()
 
     def on_core_recovered(self, core_index: int) -> None:
         self._failed_cores.discard(core_index)
-        self._plan_keys[core_index] = None
         self._refresh_critical_rate()
         self.reschedule()
 
@@ -400,10 +388,8 @@ class GEScheduler(Scheduler):
             )
         self._last_policy = dist_policy
 
-        if self.decision_log is not None or tracing:
-            from repro.core.decisions import Decision
-
-            decision = Decision(
+        if tracing:
+            tracer.decision(Decision(
                 time=now,
                 mode=mode.value,
                 policy=dist_policy,
@@ -411,29 +397,12 @@ class GEScheduler(Scheduler):
                 active_jobs=len(all_jobs),
                 monitor_quality=harness.monitor.quality,
                 caps=tuple(float(c) for c in caps),
-            )
-            if self.decision_log is not None:
-                self.decision_log.record(decision)
-            # The log forwards to its own tracer; emit directly only
-            # when that would not already have reached this tracer.
-            if tracing and (
-                self.decision_log is None or self.decision_log.tracer is not tracer
-            ):
-                tracer.decision(decision)
+            ))
 
-        # 5. Per-core planning and installation.  A core whose queue
-        # state (jids, progress, targets) and power cap are unchanged
-        # since the previous round *at this same instant* would rebuild
-        # the exact same plan; the cached segments are reinstalled
-        # instead (see docs/performance.md for the invalidation rules).
+        # 5. Per-core planning and installation.
         quality_opt_calls = 0
         energy_opt_calls = 0
-        plan_cache_hits = 0
         caps_n = len(caps)
-        # The default allocator is a pure function of the cache key; an
-        # injected one (the mixed-class extension) may read shared
-        # monitor state, so plan reuse is disabled for it.
-        cacheable = self._allocator is None
         with prof.phase("planner.build"):
             for idx, jobs in enumerate(per_core):
                 core = machine.cores[idx]
@@ -444,20 +413,8 @@ class GEScheduler(Scheduler):
                     # the call.
                     if core.has_work:
                         core.set_plan([])
-                    self._plan_keys[idx] = None
                     continue
                 cap = float(caps[idx]) if caps_n else 0.0
-                key = (
-                    now,
-                    cap,
-                    tuple((j.jid, j.processed, target_of[j.jid]) for j in jobs),
-                )
-                if cacheable and key == self._plan_keys[idx]:
-                    segments = self._plan_segments[idx]
-                    assert segments is not None
-                    core.set_plan(segments)
-                    plan_cache_hits += 1
-                    continue
                 cap_memo = self._cap_memo[idx]
                 if cap_memo is not None and cap_memo[0] == cap:
                     speed_cap, capacity = cap_memo[1], cap_memo[2]
@@ -482,22 +439,14 @@ class GEScheduler(Scheduler):
                     if plan.segments:
                         energy_opt_calls += 1  # Energy-OPT ran on the survivors
                 core.set_plan(plan.segments)
-                if plan.settle_now:
-                    for job, outcome in plan.settle_now:
-                        harness.settle_job(job, outcome)
-                    # Settling changed the live set; the stored plan
-                    # could never match the next key anyway.
-                    self._plan_keys[idx] = None
-                else:
-                    self._plan_keys[idx] = key
-                    self._plan_segments[idx] = plan.segments
+                for job, outcome in plan.settle_now:
+                    harness.settle_job(job, outcome)
 
         if tracing:
             metrics = tracer.metrics
             metrics.counter("scheduler.rounds").inc()
             metrics.counter("planner.quality_opt_calls").inc(quality_opt_calls)
             metrics.counter("planner.energy_opt_calls").inc(energy_opt_calls)
-            metrics.counter("planner.plan_cache_hits").inc(plan_cache_hits)
             metrics.gauge("scheduler.queue_depth").set(queue_depth)
             metrics.histogram("scheduler.batch_size", bound=64).observe(len(batch))
             metrics.histogram("scheduler.active_jobs", bound=256).observe(len(all_jobs))
@@ -533,11 +482,11 @@ class GEScheduler(Scheduler):
     def _policy_for(self, now: Seconds) -> PowerDistributionPolicy:
         """The distribution branch for this round (may tick the estimator)."""
         if self.distribution_mode == "es":
-            return self._hybrid.light
+            return self._es
         if self.distribution_mode == "wf":
-            return self._hybrid.heavy
+            return self._wf
         heavy = self.estimator.is_heavy(now, self._critical_rate)
-        return self._hybrid.heavy if heavy else self._hybrid.light
+        return self._wf if heavy else self._es
 
     def _power_demands(
         self,
@@ -575,14 +524,6 @@ class GEScheduler(Scheduler):
         decision = policy.distribute(sub, machine.budget)
         caps[alive] = decision.caps
         return caps, decision.policy
-
-    def _distribute(self, demands_w: WattsArray, budget: PowerBudget, now: Seconds):
-        if self.distribution_mode == "es":
-            return self._hybrid.light.distribute(demands_w, budget)
-        if self.distribution_mode == "wf":
-            return self._hybrid.heavy.distribute(demands_w, budget)
-        heavy = self.estimator.is_heavy(now, self._critical_rate)
-        return self._hybrid.distribute_for_load(demands_w, budget, heavy)
 
     def _core_loads(self) -> List[Volume]:
         return [

@@ -5,12 +5,12 @@ and this module runs that grid as a *fleet* instead of a for-loop.  A
 :class:`~repro.experiments.registry.FleetTask` names one grid cell
 (bench scenario × seed × optional rate override); :func:`run_fleet`
 fans a task list across spawn-context worker processes, each of which
-runs its cell under a :class:`~repro.obs.stream.StreamingTracer` and
-ships ``repro.bus/1`` telemetry (see :mod:`repro.obs.bus`) back over a
-bounded queue.  A central aggregator thread folds the stream into
-fleet-level rollups and the finished fleet lands in the
-:class:`~repro.obs.runs.RunStore` — one ``repro.run/1`` summary per
-task plus one ``repro.fleet/1`` rollup document.
+runs its cell under a :class:`~repro.obs.stream.StreamingTracer` whose
+extra bus sink ships ``repro.bus/1`` telemetry (see
+:mod:`repro.obs.bus`) back over a bounded queue.  A central aggregator
+thread folds the stream into fleet-level rollups and the finished fleet
+lands in the :class:`~repro.obs.runs.RunStore` — one ``repro.run/1``
+summary per task plus one ``repro.fleet/1`` rollup document.
 
 Two guarantees make the fleet load-bearing rather than decorative:
 
@@ -53,7 +53,10 @@ from repro.experiments.bench import SUITE
 from repro.experiments.registry import FleetTask
 from repro.obs.bus import BusSender, FleetAggregator
 from repro.obs.runs import FLEET_SCHEMA, RunStore, make_summary
-from repro.obs.stream import StreamingTracer
+from repro.obs.spans import EventRecord
+from repro.obs.stream import StreamAggregator, StreamingTracer
+from repro.obs.timeline import TimelineSample
+from repro.obs.tracer import Sink
 from repro.server.harness import SimulationHarness
 from repro.units import Seconds
 
@@ -93,31 +96,37 @@ _U = TypeVar("_U")
 # ----------------------------------------------------------------------
 # Task execution (shared by every mode — the determinism anchor)
 # ----------------------------------------------------------------------
-class _BusTracer(StreamingTracer):
-    """A streaming tracer that additionally ships live telemetry.
+class _BusSink(Sink):
+    """Ships live telemetry of one task over the bus.
 
-    Pure observer on top of :class:`StreamingTracer`: every override
-    calls through to the aggregation path first and only then *reads*
-    state to ship droppable bus messages, so the folded telemetry —
-    and the RunResult — stay bit-identical to an un-bussed run.
+    Rides after the task's :class:`StreamAggregator` in the tracer's
+    sinks and only *reads* its state, so the folded telemetry — and
+    the RunResult — stay bit-identical to an un-bussed run.  Every
+    ``snapshot_every`` sample batches it sends a droppable windowed
+    snapshot, and it forwards each ``slo_violation`` event.
     """
 
     def __init__(
-        self, sender: BusSender, task_key: str, *, snapshot_every: int = SNAPSHOT_EVERY
+        self,
+        sender: BusSender,
+        task_key: str,
+        aggregator: StreamAggregator,
+        snapshot_every: int = SNAPSHOT_EVERY,
     ) -> None:
-        super().__init__()
         self._sender = sender
         self._task_key = task_key
+        self._aggregator = aggregator
         self._snapshot_every = snapshot_every
         self._batches = 0
 
-    def sample_cores(self, machine: Any, time: Seconds) -> None:
-        super().sample_cores(machine, time)
+    def on_sample_batch(
+        self, time: Seconds, samples: List[TimelineSample], machine: Any = None
+    ) -> None:
         self._batches += 1
         if self._snapshot_every > 0 and self._batches % self._snapshot_every == 0:
             windows: Dict[str, Any] = {}
             for name in ("quality", "power_total_w"):
-                series = self.aggregator.series.get(name)
+                series = self._aggregator.series.get(name)
                 if series is not None and series.rows:
                     windows[name] = dict(series.rows[-1])
             self._sender.send(
@@ -126,22 +135,17 @@ class _BusTracer(StreamingTracer):
                 payload={
                     "t": float(time),
                     "windows": windows,
-                    "record_counts": dict(self.aggregator.record_counts),
+                    "record_counts": dict(self._aggregator.record_counts),
                 },
             )
 
-    def _emit_violation(
-        self, name: str, time: Seconds, value: float, threshold: float
-    ) -> None:
-        super()._emit_violation(name, time, value, threshold)
-        self._sender.send(
-            "slo_violation",
-            task=self._task_key,
-            payload={
-                "slo": name, "time": float(time),
-                "value": float(value), "threshold": float(threshold),
-            },
-        )
+    def on_event(self, event: EventRecord) -> None:
+        if event.kind == "slo_violation":  # attrs: slo, value, threshold
+            self._sender.send(
+                "slo_violation",
+                task=self._task_key,
+                payload={"time": event.time, **event.attrs},
+            )
 
 
 def execute_task(
@@ -181,11 +185,11 @@ def execute_task(
     config = scenario.config(task.scale, task.seed)
     if task.rate is not None:
         config = config.with_overrides(arrival_rate=float(task.rate))
-    tracer: StreamingTracer
-    if sender is None:
-        tracer = StreamingTracer()
-    else:
-        tracer = _BusTracer(sender, task.key, snapshot_every=snapshot_every)
+    tracer = StreamingTracer()
+    if sender is not None:
+        tracer.sinks += (
+            _BusSink(sender, task.key, tracer.aggregator, snapshot_every),
+        )
     harness = SimulationHarness(config, scenario.factory(), tracer=tracer)
     wall_start = time.perf_counter()
     result = harness.run()

@@ -24,11 +24,13 @@ Tracing is off by default: every harness uses the shared
 read per instrumentation point.  See ``docs/observability.md`` for the
 event schema.
 
-For long horizons, :class:`repro.obs.stream.StreamingTracer` replaces
-the buffering tracer with constant-memory windowed aggregation plus
-online SLO monitoring (:mod:`repro.obs.slo`); finished runs land in
-the run registry (:mod:`repro.obs.runs`) and render to an HTML
-dashboard (:mod:`repro.obs.report`)::
+The tracer hands every record to its :class:`Sink` tuple — by default
+one :class:`Buffer`.  For long horizons,
+:class:`repro.obs.stream.StreamingTracer` swaps the buffer for
+constant-memory windowed aggregation plus online SLO monitoring
+(:mod:`repro.obs.slo`) and an optional :class:`JsonlSpill`; finished
+runs land in the run registry (:mod:`repro.obs.runs`) and render to an
+HTML dashboard (:mod:`repro.obs.report`)::
 
     from repro.obs import StreamingTracer
 
@@ -46,6 +48,7 @@ from repro.obs.analyze import (
 )
 from repro.obs.export import (
     TRACE_SCHEMA,
+    JsonlSpill,
     iter_jsonl,
     read_jsonl,
     trace_records,
@@ -84,18 +87,20 @@ from repro.obs.stream import (
     fold_records,
 )
 from repro.obs.timeline import CoreTimelineSampler, TimelineSample
-from repro.obs.tracer import NULL_TRACER, NullTracer, Trace, Tracer
+from repro.obs.tracer import NULL_TRACER, Buffer, NullTracer, Sink, Trace, Tracer
 
 __all__ = [
     "FLEET_SCHEMA",
     "NULL_PROFILER",
     "NULL_TRACER",
     "TRACE_SCHEMA",
+    "Buffer",
     "Counter",
     "CoreTimelineSampler",
     "EventRecord",
     "Gauge",
     "Histogram",
+    "JsonlSpill",
     "MetricsRegistry",
     "ModeInterval",
     "NullProfiler",
@@ -108,6 +113,7 @@ __all__ = [
     "RunStore",
     "SLOSpec",
     "SLOTracker",
+    "Sink",
     "SpanRecord",
     "StreamAggregator",
     "StreamingTracer",

@@ -15,6 +15,9 @@ by ``"type"``:
 time, constant memory — for feeding :mod:`repro.obs.stream` and the
 iterator-aware analyzers in :mod:`repro.obs.analyze`.
 
+:class:`JsonlSpill` is the incremental writer: a tracer sink that
+appends each record as it is emitted (constant memory).
+
 The CSV exporters are one-way conveniences for spreadsheets/plotting:
 :func:`write_timeline_csv` (per-core samples) and
 :func:`write_spans_csv` (job/exec spans, attrs flattened to JSON).
@@ -25,14 +28,17 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Union
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
 
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import EventRecord, SpanRecord
 from repro.obs.timeline import TimelineSample
-from repro.obs.tracer import Trace, Tracer
+from repro.obs.tracer import Sink, Trace, Tracer
+from repro.units import Seconds
 
 __all__ = [
     "TRACE_SCHEMA",
+    "JsonlSpill",
     "iter_jsonl",
     "read_jsonl",
     "trace_records",
@@ -68,15 +74,73 @@ def trace_records(trace: Union[Trace, Tracer]) -> Iterator[Dict[str, Any]]:
         yield {"type": "metric", "name": name, **trace.metrics[name]}
 
 
+def _line(record: Dict[str, Any]) -> str:
+    return json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+
+
 def write_jsonl(trace: Union[Trace, Tracer], path: _PathLike) -> int:
     """Write the trace as JSONL; returns the number of lines written."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in trace_records(trace):
-            fh.write(json.dumps(record, separators=(",", ":"), sort_keys=True))
-            fh.write("\n")
+            fh.write(_line(record))
             count += 1
     return count
+
+
+class JsonlSpill(Sink):
+    """A sink that appends every record to a JSONL file as it is emitted.
+
+    Spans are written when they *close*, so the file is ordered by
+    close-seq rather than the canonical open-seq of :func:`write_jsonl`
+    (:func:`read_jsonl` accepts both).  A provisional ``meta`` header is
+    written at run start and the final one, followed by the metrics, at
+    :meth:`finish` (readers keep the last header seen).  Each record is
+    a single ``write`` call, so a run interrupted between two records
+    still leaves valid JSONL.
+    """
+
+    def __init__(self, path: _PathLike) -> None:
+        self._fh: Optional[TextIO] = open(path, "w", encoding="utf-8")
+        self._meta: Dict[str, Any] = {}
+        self._metrics: Optional[MetricsRegistry] = None
+        #: Records written so far.
+        self.written = 0
+
+    def _write(self, record: Dict[str, Any]) -> None:
+        if self._fh is not None:
+            self._fh.write(_line(record))
+            self.written += 1
+
+    def _write_meta(self) -> None:
+        self._write({"type": "meta", "schema": TRACE_SCHEMA, "meta": dict(self._meta)})
+
+    def start(self, meta: Dict[str, Any], metrics: Optional[MetricsRegistry] = None) -> None:
+        self._meta = meta  # the tracer's live metadata: the final header rereads it
+        self._metrics = metrics
+        self._write_meta()
+
+    def on_span_close(self, span: SpanRecord) -> None:
+        self._write(span.to_record())
+
+    def on_event(self, event: EventRecord) -> None:
+        self._write(event.to_record())
+
+    def on_sample_batch(
+        self, time: Seconds, samples: List[TimelineSample], machine: Any = None
+    ) -> None:
+        for sample in samples:
+            self._write(sample.to_record())
+
+    def finish(self, end: Seconds) -> None:
+        if self._fh is None:
+            return
+        self._write_meta()
+        if self._metrics is not None:
+            for name, snap in self._metrics.snapshot().items():
+                self._write({"type": "metric", "name": name, **snap})
+        self._fh.close()
+        self._fh = None
 
 
 def iter_jsonl(path: _PathLike) -> Iterator[Dict[str, Any]]:
@@ -90,8 +154,8 @@ def iter_jsonl(path: _PathLike) -> Iterator[Dict[str, Any]]:
     :func:`repro.obs.analyze.core_utilization`).  Record order is the
     file's order; ``meta`` headers validate their schema tag exactly
     like :func:`read_jsonl`, and later headers supersede earlier ones
-    (a :class:`repro.obs.stream.StreamingTracer` spill file has a
-    provisional header and a final one).
+    (a :class:`JsonlSpill` file has a provisional header and a final
+    one).
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

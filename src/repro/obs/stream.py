@@ -16,10 +16,10 @@ constant-memory alternative:
   (:class:`repro.obs.registry.QuantileSketch`), online mode intervals,
   per-core utilization and the online SLO monitors of
   :mod:`repro.obs.slo`;
-* :class:`StreamingTracer` — a drop-in tracer that feeds every record
-  to a :class:`StreamAggregator` **instead of buffering it**, and can
-  optionally spill the raw records to JSONL incrementally (constant
-  memory either way).
+* :class:`StreamingTracer` — a :class:`repro.obs.tracer.Tracer` whose
+  sinks are a :class:`StreamAggregator` and, optionally, a
+  :class:`repro.obs.export.JsonlSpill`: records are folded **instead of
+  buffered** (constant memory either way).
 
 **Exactness.**  Each aggregation stream folds exactly one record kind
 in its emission order — decisions by ``seq``, sample batches
@@ -36,29 +36,15 @@ All windowing is in simulated seconds; nothing here reads a wall clock
 
 from __future__ import annotations
 
-import json
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    TextIO,
-    Union,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
+from repro.obs.export import JsonlSpill, trace_records
 from repro.obs.registry import MetricsRegistry, QuantileSketch
 from repro.obs.slo import SLOSpec, SLOTracker, default_slos
 from repro.obs.spans import EventRecord, SpanRecord
 from repro.obs.timeline import TimelineSample
-from repro.obs.tracer import Trace, Tracer
-from repro.units import Seconds, Volume
-
-if TYPE_CHECKING:  # type-only: repro.obs stays import-light at runtime
-    from repro.server.machine import MulticoreServer
-    from repro.workload.job import Job
+from repro.obs.tracer import Sink, Trace, Tracer
+from repro.units import Seconds
 
 __all__ = [
     "DEFAULT_WINDOWS",
@@ -202,11 +188,12 @@ def _window_width(meta: Dict[str, Any]) -> Seconds:
     return horizon / DEFAULT_WINDOWS
 
 
-class StreamAggregator:
+class StreamAggregator(Sink):
     """Folds trace streams into bounded-memory aggregates.
 
-    One instance serves one run (or one offline replay of that run's
-    exported records).  The entry points mirror the record streams:
+    One instance serves one run, as a tracer sink, or one offline
+    replay of that run's exported records (:func:`fold_records`).  The
+    entry points are the sink hooks:
 
     * :meth:`on_event` — ``decision`` / ``settle`` fold into windows,
       sketches, mode intervals and SLO monitors; other kinds are
@@ -215,7 +202,8 @@ class StreamAggregator:
       timeline samples;
     * :meth:`on_span_close` — a closed span (exec slices fold into
       per-core utilization);
-    * :meth:`finish` — close time-weighted accumulators at run end.
+    * :meth:`finish` — close time-weighted accumulators at run end and
+      put the SLO summary in ``meta["slo"]``.
 
     The streams are independent — no accumulator mixes records of two
     kinds — which is why the offline replay (whose canonical JSONL
@@ -226,13 +214,12 @@ class StreamAggregator:
     def __init__(
         self,
         *,
-        registry: Optional[MetricsRegistry] = None,
         slos: Optional[List[SLOSpec]] = None,
         window_width: Optional[float] = None,
         window_slide: Optional[float] = None,
         on_violation: Optional[Callable[[str, float, float, float], None]] = None,
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._slos = slos
         self._width = window_width
         self._slide = window_slide
@@ -259,19 +246,24 @@ class StreamAggregator:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self, meta: Dict[str, Any]) -> None:
+    def start(self, meta: Dict[str, Any], metrics: Optional[MetricsRegistry] = None) -> None:
         """Arm the aggregator from the run's metadata.
 
         Window width derives from ``meta["horizon"]`` (unless given
         explicitly) and the default SLOs from ``q_ge`` / ``budget``
-        (see :func:`repro.obs.slo.default_slos`).  Metadata keys are
-        merged on every call, but arming happens once — an offline
-        replay may see both a provisional and a final header.
+        (see :func:`repro.obs.slo.default_slos`).  The first call adopts
+        ``meta`` (a tracer's live metadata) and ``metrics`` (its
+        registry, which then holds the sketches and SLO metrics); later
+        calls merge their keys — an offline replay may see both a
+        provisional and a final header — but arming happens once.
         """
-        self.meta.update(meta)
         if self._started:
+            self.meta.update(meta)
             return
         self._started = True
+        self.meta = meta
+        if metrics is not None:
+            self.registry = metrics
         width = self._width if self._width is not None else _window_width(self.meta)
         for name in ("quality", "queue_depth", "power_total_w",
                      "speed_mean_ghz", "reschedule_gap_s"):
@@ -294,8 +286,9 @@ class StreamAggregator:
     # ------------------------------------------------------------------
     # Stream entry points
     # ------------------------------------------------------------------
-    def on_event(self, time: Seconds, kind: str, attrs: Dict[str, Any]) -> None:
+    def on_event(self, event: EventRecord) -> None:
         """Fold one event record."""
+        time, kind, attrs = event.time, event.kind, event.attrs
         if kind == "slo_violation":
             # Derived annotation emitted by the streaming sink itself,
             # absent from a full tracer's record stream — not folded and
@@ -333,7 +326,9 @@ class StreamAggregator:
             else:
                 self.chaos_dropped += 1
 
-    def on_sample_batch(self, time: Seconds, samples: List[TimelineSample]) -> None:
+    def on_sample_batch(
+        self, time: Seconds, samples: List[TimelineSample], machine: Any = None
+    ) -> None:
         """Fold one quantum boundary's core samples (one per core)."""
         self._require_started()
         if not samples:
@@ -381,6 +376,7 @@ class StreamAggregator:
             series.finish(float(end))
         assert self.slo is not None
         self.slo.finish(float(end))
+        self.meta["slo"] = self.slo.summary()
 
     def _close_mode_interval(self, end: Seconds) -> None:
         """Account the interval ending at ``end``; retain it if under the cap."""
@@ -434,22 +430,14 @@ class StreamAggregator:
 class StreamingTracer(Tracer):
     """A tracer that aggregates instead of buffering.
 
-    Every record the instrumented simulator emits is folded into a
-    :class:`StreamAggregator` (windows, sketches, SLO monitors, mode
-    intervals, per-core totals) and then **dropped** — :attr:`spans` /
-    :attr:`events` / :attr:`samples` stay empty, so telemetry memory is
-    flat in the horizon (pinned by ``tests/obs/test_stream.py``).
-    Record ids (``seq``, ``span_id``) advance exactly as in the full
-    tracer, so spilled records are comparable across sinks.
-
-    Pass ``spill_path`` to additionally append every raw record to a
-    JSONL file as it is emitted (still constant memory).  Spans are
-    written when they *close*, so the file is ordered by close-seq
-    rather than the canonical open-seq of
-    :func:`repro.obs.export.write_jsonl`;
-    :func:`repro.obs.export.read_jsonl` accepts both.  A provisional
-    ``meta`` header is written at run start and superseded by the final
-    one at run end (readers keep the last header seen).
+    Its sinks are a :class:`StreamAggregator` (windows, sketches, SLO
+    monitors, mode intervals, per-core totals) and, given
+    ``spill_path``, a :class:`repro.obs.export.JsonlSpill` that appends
+    every raw record to that file — telemetry memory is flat in the
+    horizon either way (pinned by ``tests/obs/test_stream.py``), and
+    :attr:`spans` / :attr:`events` / :attr:`samples` stay empty.
+    Record ids (``seq``, ``span_id``) advance exactly as in the
+    buffering tracer, so spilled records are comparable across sinks.
 
     SLO specs default to :func:`repro.obs.slo.default_slos` over the
     run metadata (quality floor ``Q_GE``, power budget ``H``,
@@ -467,155 +455,24 @@ class StreamingTracer(Tracer):
         window_width: Optional[float] = None,
         window_slide: Optional[float] = None,
     ) -> None:
-        super().__init__()
         self.aggregator = StreamAggregator(
-            registry=self.metrics,
             slos=slos,
             window_width=window_width,
             window_slide=window_slide,
-            on_violation=self._emit_violation,
+            on_violation=lambda name, time, value, threshold: self.event(
+                "slo_violation", time, slo=name, value=float(value),
+                threshold=float(threshold),
+            ),
         )
-        self._spill_fh: Optional[TextIO] = None
-        self._spilled = 0
-        self._closed = False
-        if spill_path is not None:
-            self._spill_fh = open(spill_path, "w", encoding="utf-8")
+        self.spill = None if spill_path is None else JsonlSpill(spill_path)
+        super().__init__(
+            sinks=(self.aggregator,) if self.spill is None else (self.aggregator, self.spill)
+        )
 
-    # ------------------------------------------------------------------
-    # Spill plumbing
-    # ------------------------------------------------------------------
     @property
     def spilled_records(self) -> int:
         """Raw records written to the spill file so far."""
-        return self._spilled
-
-    def _spill(self, record: Dict[str, Any]) -> None:
-        if self._spill_fh is None:
-            return
-        # Single write call per record: an interrupt (SIGINT) between
-        # two writes could leave a record without its newline, breaking
-        # the partial-trace-is-valid-JSONL guarantee.
-        self._spill_fh.write(
-            json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
-        )
-        self._spilled += 1
-
-    def _spill_meta(self) -> None:
-        from repro.obs.export import TRACE_SCHEMA
-
-        self._spill({"type": "meta", "schema": TRACE_SCHEMA, "meta": dict(self.meta)})
-
-    def _emit_violation(
-        self, name: str, time: Seconds, value: float, threshold: float
-    ) -> None:
-        # Routed through the normal event path, so it is folded
-        # (count-only: the aggregator ignores unknown kinds) and
-        # spilled like any other scheduler event.
-        self.event(
-            "slo_violation", time, slo=name, value=float(value),
-            threshold=float(threshold),
-        )
-
-    # ------------------------------------------------------------------
-    # Overridden record sinks: fold + spill, never retain
-    # ------------------------------------------------------------------
-    def begin_span(
-        self,
-        name: str,
-        time: Seconds,
-        *,
-        parent: Optional[SpanRecord] = None,
-        **attrs: Any,
-    ) -> SpanRecord:
-        """Open a span without retaining it (folded when it closes)."""
-        span = SpanRecord(
-            span_id=self._next_span_id,
-            name=name,
-            start=float(time),
-            seq=self._next_seq(),
-            parent_id=parent.span_id if parent is not None else None,
-            attrs=attrs,
-        )
-        self._next_span_id += 1
-        return span
-
-    def end_span(self, span: SpanRecord, time: Seconds, **attrs: Any) -> None:
-        """Close ``span``, fold it into the aggregates and spill it."""
-        span.close(time, **attrs)
-        self.aggregator.on_span_close(span)
-        self._spill(span.to_record())
-
-    def event(
-        self,
-        kind: str,
-        time: Seconds,
-        *,
-        span: Optional[SpanRecord] = None,
-        **attrs: Any,
-    ) -> EventRecord:
-        """Fold and spill a point event without retaining it."""
-        record = EventRecord(
-            time=float(time),
-            kind=kind,
-            seq=self._next_seq(),
-            span_id=span.span_id if span is not None else None,
-            attrs=attrs,
-        )
-        self.aggregator.on_event(record.time, kind, attrs)
-        self._spill(record.to_record())
-        return record
-
-    def job_settled(self, job: Job, time: Seconds) -> None:
-        """Close the job span through the folding/spilling path."""
-        span = self._job_spans.pop(job.jid, None)
-        if span is None:
-            return  # job predates the tracer (never happens via the harness)
-        self.event("settle", time, span=span, outcome=job.outcome.value)
-        self.end_span(span, time, outcome=job.outcome.value, processed=job.processed)
-
-    def exec_end(self, span: SpanRecord, time: Seconds, done: Volume) -> None:
-        """Close an execution slice through the folding/spilling path."""
-        self.end_span(span, time, done=float(done))
-
-    def sample_cores(self, machine: MulticoreServer, time: Seconds) -> None:
-        """Fold and spill one quantum boundary's core samples."""
-        samples = self._sampler.sample(machine, time)
-        self.aggregator.on_sample_batch(float(time), samples)
-        for sample in samples:
-            self._spill(sample.to_record())
-
-    # ------------------------------------------------------------------
-    # Run lifecycle
-    # ------------------------------------------------------------------
-    def run_started(self, time: Seconds, **meta: Any) -> None:
-        super().run_started(time, **meta)
-        self.aggregator.start(self.meta)
-        self._spill_meta()  # provisional header, superseded at run end
-
-    def run_finished(self, machine: MulticoreServer, time: Seconds, **meta: Any) -> None:
-        super().run_finished(machine, time, **meta)
-        self.close(end=float(time))
-
-    def close(self, end: Optional[float] = None) -> None:
-        """Finalize the aggregates; write the spill tail, close the file.
-
-        Idempotent.  Called automatically from :meth:`run_finished`;
-        call it directly when feeding records outside a harness run.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if end is None:
-            end = float(self.meta.get("end", self.meta.get("start", 0.0)))
-        self.aggregator.finish(end)
-        assert self.aggregator.slo is not None
-        self.meta["slo"] = self.aggregator.slo.summary()
-        if self._spill_fh is not None:
-            self._spill_meta()  # final, complete header
-            for name, snap in self.metrics.snapshot().items():
-                self._spill({"type": "metric", "name": name, **snap})
-            self._spill_fh.close()
-            self._spill_fh = None
+        return 0 if self.spill is None else self.spill.written
 
     def summary(self) -> Dict[str, Any]:
         """The run's full streaming summary (JSON-native).
@@ -651,8 +508,6 @@ def fold_records(
     aggregator, whose :meth:`~StreamAggregator.snapshot` equals the
     online one of a :class:`StreamingTracer` on the same run exactly.
     """
-    from repro.obs.export import trace_records
-
     if isinstance(records, Trace):
         records = trace_records(records)
     agg = StreamAggregator(
@@ -683,10 +538,7 @@ def fold_records(
             # Spilled ``slo_violation`` events pass through here too;
             # the aggregator ignores them (the offline SLO tracker
             # re-detects its own violations from the source streams).
-            agg.on_event(
-                float(record["time"]), str(record["kind"]),
-                dict(record.get("attrs", {})),
-            )
+            agg.on_event(EventRecord.from_record(record))
         elif rtype == "span":
             span = SpanRecord.from_record(record)
             if span.end is not None:

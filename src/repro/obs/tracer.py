@@ -1,7 +1,7 @@
-"""The process-wide tracer and its zero-overhead null twin.
+"""The tracer, its record sinks and its zero-overhead null twin.
 
-:class:`Tracer` collects the four telemetry streams the simulator can
-emit (see ``docs/observability.md`` for the schema):
+:class:`Tracer` is the one emitter of the four telemetry streams the
+simulator can produce (see ``docs/observability.md`` for the schema):
 
 * **job spans** — arrival → enqueue → assignment → cut → execution
   slices → settlement, with exec slices as child spans;
@@ -11,6 +11,15 @@ emit (see ``docs/observability.md`` for the schema):
   at quantum boundaries;
 * **metrics** — a :class:`repro.obs.registry.MetricsRegistry` of
   counters/gauges/histograms.
+
+The tracer builds each :class:`SpanRecord`, :class:`EventRecord` and
+:class:`TimelineSample` once and hands it to every :class:`Sink` in its
+``sinks`` tuple, in order.  What happens to a record is the sinks'
+business: :class:`Buffer` keeps it for :meth:`Tracer.to_trace`, the
+stream aggregator folds it, the JSONL spill writes it, the sanitizer
+checks it, a :class:`repro.core.decisions.DecisionLog` keeps the
+``decision`` events.  Sinks only read records, so any set of them
+composes on one run.
 
 Instrumented hot paths guard every call with ``if tracer.enabled:`` and
 default to the shared :data:`NULL_TRACER`, whose ``enabled`` is
@@ -26,7 +35,7 @@ on or off (pinned by ``tests/obs/test_determinism.py``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.prof import NULL_PROFILER, PhaseProfiler
 from repro.obs.registry import MetricsRegistry
@@ -39,7 +48,7 @@ if TYPE_CHECKING:  # type-only: repro.obs stays import-light at runtime
     from repro.server.machine import MulticoreServer
     from repro.workload.job import Job
 
-__all__ = ["NULL_TRACER", "NullTracer", "Trace", "Tracer", "TracerLike"]
+__all__ = ["NULL_TRACER", "Buffer", "NullTracer", "Sink", "Trace", "Tracer", "TracerLike"]
 
 #: Anything instrumented code accepts as its observability sink.
 TracerLike = Union["Tracer", "NullTracer"]
@@ -101,20 +110,87 @@ class Trace:
         return [e for e in self.events if e.span_id == span.span_id]
 
 
-class Tracer:
-    """Collects spans, events, timeline samples and metrics for one run.
+class Sink:
+    """One consumer of a :class:`Tracer`'s record stream.
 
-    A tracer is single-use: attach it to one
-    :class:`repro.server.harness.SimulationHarness`, run, then export or
-    analyze :meth:`to_trace`.
+    Every hook is a no-op, so a sink overrides only what it reads.
+    Records arrive in emission order; a sink must not mutate them.
+
+    * :meth:`start` — run metadata (the tracer's live ``meta`` dict)
+      and the tracer's metrics registry, once at run start;
+    * :meth:`on_span_open` / :meth:`on_span_close` — a span opened, or
+      closed with its final attributes merged in;
+    * :meth:`on_event` — a point event;
+    * :meth:`on_sample_batch` — one sampling instant's per-core samples
+      (one per core, ascending), with the machine they were read from;
+    * :meth:`finish` — run end (or interrupt) at simulated ``end``.
     """
 
-    enabled = True
+    def start(self, meta: Dict[str, Any], metrics: Optional[MetricsRegistry] = None) -> None:
+        return None
+
+    def on_span_open(self, span: SpanRecord) -> None:
+        return None
+
+    def on_span_close(self, span: SpanRecord) -> None:
+        return None
+
+    def on_event(self, event: EventRecord) -> None:
+        return None
+
+    def on_sample_batch(
+        self, time: Seconds, samples: List[TimelineSample], machine: Any = None
+    ) -> None:
+        return None
+
+    def finish(self, end: Seconds) -> None:
+        return None
+
+
+class Buffer(Sink):
+    """Keeps every record in memory, for :meth:`Tracer.to_trace`."""
 
     def __init__(self) -> None:
         self.spans: List[SpanRecord] = []
         self.events: List[EventRecord] = []
         self.samples: List[TimelineSample] = []
+
+    def on_span_open(self, span: SpanRecord) -> None:
+        self.spans.append(span)  # closed in place later
+
+    def on_event(self, event: EventRecord) -> None:
+        self.events.append(event)
+
+    def on_sample_batch(
+        self, time: Seconds, samples: List[TimelineSample], machine: Any = None
+    ) -> None:
+        self.samples.extend(samples)
+
+
+class Tracer:
+    """Emits spans, events, timeline samples and metrics for one run.
+
+    A tracer is single-use: attach it to one
+    :class:`repro.server.harness.SimulationHarness`, run, then export or
+    analyze :meth:`to_trace`.
+
+    Parameters
+    ----------
+    sinks:
+        Where the records go, in dispatch order; defaults to one
+        :class:`Buffer`.  :attr:`spans` / :attr:`events` /
+        :attr:`samples` are the first buffer's lists (empty, and never
+        filled, when no buffer is attached).
+    """
+
+    enabled = True
+
+    def __init__(self, sinks: Optional[Iterable[Sink]] = None) -> None:
+        self.sinks: Tuple[Sink, ...] = (Buffer(),) if sinks is None else tuple(sinks)
+        buffer = next((s for s in self.sinks if isinstance(s, Buffer)), Buffer())
+        self.spans = buffer.spans
+        self.events = buffer.events
+        self.samples = buffer.samples
         self.metrics = MetricsRegistry()
         #: Hot-path phase profiler publishing into :attr:`metrics`
         #: (``prof.*`` phase timers; see :mod:`repro.obs.prof`).
@@ -124,6 +200,7 @@ class Tracer:
         self._next_span_id = 0
         self._job_spans: Dict[int, SpanRecord] = {}
         self._sampler = CoreTimelineSampler()
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Generic span/event API
@@ -151,12 +228,15 @@ class Tracer:
             attrs=attrs,
         )
         self._next_span_id += 1
-        self.spans.append(span)
+        for sink in self.sinks:
+            sink.on_span_open(span)
         return span
 
     def end_span(self, span: SpanRecord, time: Seconds, **attrs: Any) -> None:
         """Close ``span`` at ``time``, merging final attributes."""
         span.close(time, **attrs)
+        for sink in self.sinks:
+            sink.on_span_close(span)
 
     def event(
         self,
@@ -174,7 +254,8 @@ class Tracer:
             span_id=span.span_id if span is not None else None,
             attrs=attrs,
         )
-        self.events.append(record)
+        for sink in self.sinks:
+            sink.on_event(record)
         return record
 
     # ------------------------------------------------------------------
@@ -215,7 +296,7 @@ class Tracer:
         if span is None:
             return  # job predates the tracer (never happens via the harness)
         self.event("settle", time, span=span, outcome=job.outcome.value)
-        span.close(time, outcome=job.outcome.value, processed=job.processed)
+        self.end_span(span, time, outcome=job.outcome.value, processed=job.processed)
 
     def exec_start(
         self, job: Job, core: int, speed: Gigahertz, volume: Volume, time: Seconds
@@ -233,7 +314,7 @@ class Tracer:
 
     def exec_end(self, span: SpanRecord, time: Seconds, done: Volume) -> None:
         """Close an execution slice with the volume actually processed."""
-        span.close(time, done=float(done))
+        self.end_span(span, time, done=float(done))
 
     # ------------------------------------------------------------------
     # Scheduler telemetry
@@ -260,18 +341,22 @@ class Tracer:
     # ------------------------------------------------------------------
     def sample_cores(self, machine: MulticoreServer, time: Seconds) -> None:
         """Snapshot per-core speed/power/energy (quantum boundary)."""
-        self.samples.extend(self._sampler.sample(machine, time))
+        samples = self._sampler.sample(machine, time)
+        for sink in self.sinks:
+            sink.on_sample_batch(float(time), samples, machine)
 
     # ------------------------------------------------------------------
     # Run lifecycle
     # ------------------------------------------------------------------
     def run_started(self, time: Seconds, **meta: Any) -> None:
-        """Record run metadata (scheduler, config) at run start."""
+        """Record run metadata (scheduler, config) and start the sinks."""
         self.meta.update(meta)
         self.meta["start"] = float(time)
+        for sink in self.sinks:
+            sink.start(self.meta, self.metrics)
 
     def run_finished(self, machine: MulticoreServer, time: Seconds, **meta: Any) -> None:
-        """Take the final core sample and stamp the run duration.
+        """Take the final core sample, stamp the run end, finish the sinks.
 
         Extra keyword arguments (e.g. ``events=...`` from the harness)
         are merged into the trace metadata.
@@ -279,13 +364,29 @@ class Tracer:
         self.sample_cores(machine, time)
         self.meta.update(meta)
         self.meta["end"] = float(time)
+        self.close(float(time))
+
+    def close(self, end: Optional[float] = None) -> None:
+        """Finish every sink at simulated ``end`` (idempotent).
+
+        Called from :meth:`run_finished`; call it directly to wind a
+        run down early (the CLI does on Ctrl-C) or after feeding
+        records outside a harness run.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if end is None:
+            end = float(self.meta.get("end", self.meta.get("start", 0.0)))
+        for sink in self.sinks:
+            sink.finish(end)
 
     def open_spans(self) -> List[SpanRecord]:
-        """Spans not yet closed (empty after a fully drained run)."""
+        """Buffered spans not yet closed (empty after a fully drained run)."""
         return [s for s in self.spans if s.open]
 
     def to_trace(self) -> Trace:
-        """Freeze the collected telemetry into a :class:`Trace`."""
+        """Freeze the buffered telemetry into a :class:`Trace`."""
         return Trace(
             meta=dict(self.meta),
             spans=self.spans,
@@ -295,12 +396,16 @@ class Tracer:
         )
 
 
+def _null_hook(*args: Any, **kwargs: Any) -> None:
+    return None
+
+
 class NullTracer:
     """Tracing disabled: every hook is a no-op.
 
     ``enabled`` is ``False``; instrumented code checks it before
     building any arguments, so the only per-trace-point cost of a
-    disabled run is that attribute read.  The methods still exist (and
+    disabled run is that attribute read.  The hooks still exist (and
     return ``None``) so un-guarded calls are safe.
     """
 
@@ -312,63 +417,10 @@ class NullTracer:
     #: no-op without a guard (mirrors :attr:`Tracer.profiler`).
     profiler = NULL_PROFILER
 
-    def begin_span(
-        self,
-        name: str,
-        time: Seconds,
-        *,
-        parent: Optional[SpanRecord] = None,
-        **attrs: Any,
-    ) -> None:
-        return None
-
-    def end_span(self, span: Optional[SpanRecord], time: Seconds, **attrs: Any) -> None:
-        return None
-
-    def event(
-        self,
-        kind: str,
-        time: Seconds,
-        *,
-        span: Optional[SpanRecord] = None,
-        **attrs: Any,
-    ) -> None:
-        return None
-
-    def job_arrived(self, job: Job, time: Seconds) -> None:
-        return None
-
-    def job_assigned(self, job: Job, core: int, time: Seconds) -> None:
-        return None
-
-    def job_cut(self, job: Job, target: Volume, time: Seconds) -> None:
-        return None
-
-    def job_settled(self, job: Job, time: Seconds) -> None:
-        return None
-
-    def exec_start(
-        self, job: Job, core: int, speed: Gigahertz, volume: Volume, time: Seconds
-    ) -> None:
-        return None
-
-    def exec_end(self, span: Optional[SpanRecord], time: Seconds, done: Volume) -> None:
-        return None
-
-    def scheduler_event(self, kind: str, time: Seconds, **attrs: Any) -> None:
-        return None
-
-    def decision(self, decision: Decision) -> None:
-        return None
-
-    def sample_cores(self, machine: MulticoreServer, time: Seconds) -> None:
-        return None
-
-    def run_started(self, time: Seconds, **meta: Any) -> None:
-        return None
-
-    def run_finished(self, machine: MulticoreServer, time: Seconds, **meta: Any) -> None:
-        return None
+    begin_span = end_span = event = _null_hook
+    job_arrived = job_assigned = job_cut = job_settled = _null_hook
+    exec_start = exec_end = scheduler_event = decision = _null_hook
+    sample_cores = run_started = run_finished = close = _null_hook
 
 
 #: Shared process-wide null tracer (stateless, safe to share).

@@ -4,14 +4,13 @@
   ``P = a·s^β`` of §II-B with its inverse, and energy helpers.
 * :mod:`repro.power.dvfs` — continuous and discrete speed scaling
   (speed ladders and the paper's §IV-A-5 rectification procedure).
-* :mod:`repro.power.distribution` — Equal-Sharing, Water-Filling and
-  the hybrid policy of §III-D, plus the discrete variant.
+* :mod:`repro.power.distribution` — the Equal-Sharing and
+  Water-Filling policies of §III-D (GE switches between them).
 """
 
 from repro.power.distribution import (
     DistributionDecision,
     EqualSharing,
-    HybridDistribution,
     PowerDistributionPolicy,
     WaterFilling,
     water_fill,
@@ -24,7 +23,6 @@ __all__ = [
     "DiscreteSpeedScale",
     "DistributionDecision",
     "EqualSharing",
-    "HybridDistribution",
     "PowerDistributionPolicy",
     "PowerModel",
     "SpeedScale",

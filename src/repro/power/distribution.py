@@ -14,7 +14,9 @@ headroom costs nothing.
   water ``level`` is chosen so allocations sum to the budget.  Under
   heavy load this funnels spare power to overloaded cores and improves
   quality.
-* **Hybrid** switches between them at the *critical load* threshold.
+
+The paper's hybrid — ES below the *critical load*, WF above it — is
+the GE scheduler's branch choice (:meth:`repro.core.ge.GEScheduler._policy_for`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.units import PowerBudget, WattsArray
 __all__ = [
     "DistributionDecision",
     "EqualSharing",
-    "HybridDistribution",
     "PowerDistributionPolicy",
     "WaterFilling",
     "water_fill",
@@ -120,9 +121,9 @@ class DistributionDecision:
     caps:
         Per-core power caps (W); ``caps.sum() <= budget`` always holds
         for WF (the allocator renormalizes float drift away), and
-        ``caps`` may sum to exactly the budget for ES.  Policies may
-        return a *cached* decision when the inputs repeat, so callers
-        must treat ``caps`` as read-only.
+        ``caps`` may sum to exactly the budget for ES.  ES returns a
+        *cached* decision when its inputs repeat, so callers must treat
+        ``caps`` as read-only.
     policy:
         Short name of the policy that produced the caps ("ES"/"WF").
     """
@@ -185,25 +186,14 @@ class WaterFilling(PowerDistributionPolicy):
     schedulers where a core may later need to exceed its estimate.  In
     both branches the caps are renormalized so their sum never exceeds
     the budget by float rounding.
-
-    The allocation is a pure function of ``(demands, budget)``; the
-    last decision is cached and returned when the inputs repeat, which
-    makes the distribution incremental across scheduler rounds whose
-    active-core load vector did not change.
     """
 
     name = "WF"
 
     def __init__(self, grant_surplus: bool = True) -> None:
         self.grant_surplus = grant_surplus
-        self._cache: tuple[bytes, float, DistributionDecision] | None = None
 
     def distribute(self, demands: WattsArray, budget: PowerBudget) -> DistributionDecision:
-        demands = np.asarray(demands, dtype=float)
-        key = demands.tobytes()
-        cached = self._cache
-        if cached is not None and cached[0] == key and cached[1] == budget:
-            return cached[2]
         base = water_fill(demands, budget)
         if self.grant_surplus and base.size:
             surplus = budget - float(np.sum(base))
@@ -213,36 +203,4 @@ class WaterFilling(PowerDistributionPolicy):
                 # overshoot; charge them to the largest cap so
                 # Σ caps ≤ budget stays exact.
                 _renormalize_caps(base, budget)
-        decision = DistributionDecision(caps=base, policy=self.name)
-        self._cache = (key, budget, decision)
-        return decision
-
-
-class HybridDistribution(PowerDistributionPolicy):
-    """The paper's hybrid: ES under light load, WF under heavy load.
-
-    The caller decides lightness (via :mod:`repro.core.load`) and passes
-    it to :meth:`distribute_for_load`; :meth:`distribute` alone defaults
-    to the light-load branch so the class still satisfies the strategy
-    interface.
-    """
-
-    name = "HYBRID"
-
-    def __init__(
-        self,
-        light: PowerDistributionPolicy | None = None,
-        heavy: PowerDistributionPolicy | None = None,
-    ) -> None:
-        self.light = light or EqualSharing()
-        self.heavy = heavy or WaterFilling()
-
-    def distribute(self, demands: WattsArray, budget: PowerBudget) -> DistributionDecision:
-        return self.light.distribute(demands, budget)
-
-    def distribute_for_load(
-        self, demands: WattsArray, budget: PowerBudget, heavy_load: bool
-    ) -> DistributionDecision:
-        """Dispatch to the WF branch iff ``heavy_load``."""
-        policy = self.heavy if heavy_load else self.light
-        return policy.distribute(demands, budget)
+        return DistributionDecision(caps=base, policy=self.name)

@@ -1,14 +1,9 @@
 """The discrete-event simulator engine.
 
-:class:`Simulator` owns the clock and the event agenda.  It supports
-two programming styles that can be mixed freely:
-
-* **callback style** — ``sim.schedule(delay, fn)`` / ``sim.at(time, fn)``;
-  used by the scheduler/server machinery because it is the fastest and
-  most explicit way to express "re-plan at time t".
-* **process style** — generator coroutines driven by
-  :class:`repro.sim.process.Process`, convenient for workload
-  generators and tests.
+:class:`Simulator` owns the clock and the event agenda.  It is
+callback-driven — ``sim.schedule(delay, fn)`` / ``sim.at(time, fn)`` —
+the fastest and most explicit way for the scheduler/server machinery
+to express "re-plan at time t".
 
 The engine is single-threaded and deterministic: runs with the same
 seed and the same schedule of calls produce identical event orders.
@@ -17,14 +12,11 @@ seed and the same schedule of calls produce identical event orders.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_NORMAL, Event, EventQueue
 from repro.units import Seconds
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.sim.process import Process
 
 __all__ = ["Simulator"]
 
@@ -164,15 +156,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def process(self, generator: Iterable[Any], name: Optional[str] = None) -> "Process":
-        """Start a generator coroutine as a simulation process.
-
-        See :class:`repro.sim.process.Process` for the protocol.
-        """
-        from repro.sim.process import Process
-
-        return Process(self, generator, name=name)
-
     def compact(self) -> None:
         """Drop cancelled events from the agenda (memory housekeeping)."""
         self._queue.discard_cancelled()

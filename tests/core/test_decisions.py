@@ -1,4 +1,4 @@
-"""Tests for the scheduling decision log."""
+"""Tests for the scheduling decision log, a sink on the trace stream."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.core.decisions import Decision, DecisionLog
 from repro.core.ge import GEScheduler
+from repro.obs import Buffer, Tracer
 from repro.server.harness import SimulationHarness
 
 
@@ -57,12 +58,17 @@ class TestDecisionLog:
             DecisionLog(capacity=0)
 
 
+def run_logged(cfg, scheduler, *sinks):
+    """Run ``scheduler`` with a tracer whose sinks are ``sinks``."""
+    SimulationHarness(cfg, scheduler, tracer=Tracer(sinks=sinks)).run()
+
+
 class TestIntegration:
     def test_ge_populates_log(self):
         log = DecisionLog()
         cfg = SimulationConfig(arrival_rate=120.0, horizon=3.0, seed=2)
-        scheduler = GEScheduler(decision_log=log)
-        SimulationHarness(cfg, scheduler).run()
+        scheduler = GEScheduler()
+        run_logged(cfg, scheduler, log)
         assert len(log) > 10
         assert log.total_recorded == scheduler.reschedules
         for d in log:
@@ -74,12 +80,14 @@ class TestIntegration:
     def test_log_shows_wf_under_heavy_load(self):
         log = DecisionLog()
         cfg = SimulationConfig(arrival_rate=230.0, horizon=3.0, seed=2)
-        SimulationHarness(cfg, GEScheduler(decision_log=log)).run()
+        run_logged(cfg, GEScheduler(), log)
         policies = {d.policy for d in log}
         assert "WF" in policies  # heavy load engages water-filling
 
 
 class TestTracerMigration:
+    """The log is a bounded sink next to the tracer's other sinks."""
+
     def test_none_capacity_falls_back_to_default_bound(self):
         from repro.core.decisions import DEFAULT_CAPACITY
 
@@ -90,15 +98,15 @@ class TestTracerMigration:
         assert DecisionLog(capacity=5).capacity == 5
 
     def test_record_emits_through_tracer(self):
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        log = DecisionLog(capacity=2, tracer=tracer)
+        log = DecisionLog(capacity=2)
+        tracer = Tracer(sinks=(Buffer(), log))
         for t in range(4):
-            log.record(make_decision(float(t)))
+            tracer.decision(make_decision(float(t)))
         # Ring buffer still bounded...
         assert len(log) == 2
-        # ...but the tracer kept the full decision stream.
+        assert [d.time for d in log] == [2.0, 3.0]
+        assert log.last == make_decision(3.0)  # the event round-trips
+        # ...but the buffer next to it kept the full decision stream.
         decisions = [e for e in tracer.events if e.kind == "decision"]
         assert [e.time for e in decisions] == [0.0, 1.0, 2.0, 3.0]
         assert decisions[0].attrs["policy"] == "ES"
@@ -106,29 +114,23 @@ class TestTracerMigration:
     def test_no_tracer_is_still_fine(self):
         log = DecisionLog()
         log.record(make_decision())
-        assert log.tracer is None
         assert len(log) == 1
 
     def test_ge_with_shared_tracer_emits_each_round_once(self):
-        from repro.obs import Tracer
-        from repro.server.harness import SimulationHarness as Harness
-
-        tracer = Tracer()
-        log = DecisionLog(tracer=tracer)
+        log = DecisionLog()
+        tracer = Tracer(sinks=(Buffer(), log))
         cfg = SimulationConfig(arrival_rate=120.0, horizon=2.0, seed=2)
-        scheduler = GEScheduler(decision_log=log)
-        Harness(cfg, scheduler, tracer=tracer).run()
+        scheduler = GEScheduler()
+        SimulationHarness(cfg, scheduler, tracer=tracer).run()
         decisions = [e for e in tracer.events if e.kind == "decision"]
-        assert len(decisions) == scheduler.reschedules  # no double emission
+        assert len(decisions) == scheduler.reschedules
         assert log.total_recorded == scheduler.reschedules
+        assert [d.time for d in log] == [e.time for e in decisions]
 
     def test_ge_without_log_still_emits_decisions(self):
-        from repro.obs import Tracer
-        from repro.server.harness import SimulationHarness as Harness
-
         tracer = Tracer()
         cfg = SimulationConfig(arrival_rate=120.0, horizon=2.0, seed=2)
         scheduler = GEScheduler()
-        Harness(cfg, scheduler, tracer=tracer).run()
+        SimulationHarness(cfg, scheduler, tracer=tracer).run()
         decisions = [e for e in tracer.events if e.kind == "decision"]
         assert len(decisions) == scheduler.reschedules

@@ -166,17 +166,19 @@ class TestSinkDeterminism:
         assert totals["switches"] == len(intervals) - 1
 
     def test_mode_interval_cap_is_not_silent(self):
+        from repro.obs import EventRecord
         from repro.obs.stream import StreamAggregator
 
         agg = StreamAggregator()
         agg.start({"start": 0.0, "horizon": 100.0})
         for i in range(2 * MAX_MODE_INTERVALS + 2):
-            agg.on_event(
-                float(i),
-                "decision",
-                {"mode": "aes" if i % 2 == 0 else "bq",
-                 "monitor_quality": 0.95, "batch_size": 1},
-            )
+            agg.on_event(EventRecord(
+                time=float(i),
+                kind="decision",
+                seq=i,
+                attrs={"mode": "aes" if i % 2 == 0 else "bq",
+                       "monitor_quality": 0.95, "batch_size": 1},
+            ))
         agg.finish(float(2 * MAX_MODE_INTERVALS + 2))
         assert len(agg.mode_intervals) == MAX_MODE_INTERVALS
         assert agg.mode_totals["intervals_dropped"] > 0

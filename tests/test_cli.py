@@ -230,10 +230,13 @@ def test_run_stream_prints_slo_panel(capsys):
     assert "slo:" in out and "quality_floor" in out
 
 
-def test_stream_conflicts_with_sanitize(capsys):
-    with pytest.raises(SystemExit):
-        main(["run", "--scheduler", "GE", "--rate", "100", "--horizon", "2",
-              "--stream", "--sanitize"])
+def test_stream_composes_with_sanitize(capsys):
+    code = main(["run", "--scheduler", "GE", "--rate", "100", "--horizon", "2",
+                 "--stream", "--sanitize"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "slo:" in out and "quality_floor" in out
+    assert "sanitizer:" in out and "invariant checks passed" in out
 
 
 def test_store_and_runs_lifecycle(tmp_path, capsys):
