@@ -9,6 +9,7 @@ simulation scales.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.cutting import lf_cut_waterline
 from repro.core.energy_opt import yds_schedule
@@ -23,6 +24,20 @@ RNG = np.random.default_rng(0)
 DEMANDS_64 = RNG.uniform(130.0, 1000.0, 64)
 DEADLINES_64 = np.sort(RNG.uniform(0.01, 0.15, 64))
 POWER_DEMANDS_16 = RNG.uniform(0.0, 60.0, 16)
+
+#: Per-call batch sizes for the size sweeps.  The perfbench workloads plan
+#: 2.32 jobs per Quality-OPT call on average under overload (GE at 250/s)
+#: and never more than 7, so the small sizes are the ones that occur.
+SIZES = (1, 2, 3, 4, 8, 16, 32, 64)
+
+
+def _batch(n):
+    """Seeded EDF batch of ``n`` jobs as lists, the way the planner passes them."""
+    rng = np.random.default_rng(n)
+    volumes = rng.uniform(130.0, 1000.0, n).tolist()
+    deadlines = np.sort(rng.uniform(0.01, 0.15, n)).tolist()
+    offsets = rng.uniform(0.0, 300.0, n).tolist()
+    return volumes, deadlines, offsets
 
 
 def test_bench_lf_cut_64_jobs(benchmark):
@@ -40,6 +55,29 @@ def test_bench_quality_opt_32_jobs(benchmark):
     dls = DEADLINES_64[:32]
     out = benchmark(quality_opt, bounds, dls, 0.0, 2000.0)
     assert out.shape == (32,)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_bench_quality_opt_sweep(benchmark, n):
+    bounds, dls, offsets = _batch(n)
+    # Half the work fits by the last deadline, so prefixes bind.
+    capacity = 0.5 * sum(bounds) / dls[-1]
+    out = benchmark(quality_opt, bounds, dls, 0.0, capacity, offsets)
+    assert out.sum() < sum(bounds)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_bench_yds_sweep(benchmark, n):
+    vols, dls, _ = _batch(n)
+    blocks = benchmark(yds_schedule, vols, dls, 0.0)
+    assert sum(len(b.jobs) for b in blocks) == n
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_bench_lf_cut_sweep(benchmark, n):
+    demands, _, _ = _batch(n)
+    out = benchmark(lf_cut_waterline, F, demands, 0.9)
+    assert out.shape == (n,)
 
 
 def test_bench_yds_32_jobs(benchmark):

@@ -20,13 +20,24 @@ Maximizing ``Σ f(offset_i + x_i)`` for one shared concave ``f`` (where
 *nested water-filling*: the binding prefix is the one whose waterline
 is lowest; its jobs are levelled at that waterline and the procedure
 recurses on the suffix with the consumed capacity subtracted.  This is
-the quality-domain mirror of YDS's critical-interval argument and runs
-in O(n² log n) worst case (batches per core are small).
+the quality-domain mirror of YDS's critical-interval argument.  Every
+block re-solves a waterline for every remaining prefix, and each solve
+scans O(k) breakpoints at O(k) each, so the worst case is O(n⁴).  The
+batches a core plans are tiny: 2.32 jobs per call on average on the
+overloaded perfbench workload (GE at 250/s), and never more than 7 on
+any of them.  The code therefore runs on Python scalars, because NumPy's
+per-call dispatch would cost more than the arithmetic.
+
+The scalar code performs the same IEEE-754 operations in the same order
+as the original NumPy formulation (kept verbatim in
+``tests/core/test_quality_opt.py`` as the bitwise oracle): ``_sum``
+replays ``np.sum``'s pairwise order, and ``np.clip(x, 0, b)`` is
+``max`` then ``min`` with NumPy's sign-of-zero behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -36,6 +47,7 @@ from repro.units import Seconds, SecondsSeq, Speed, Volume, VolumeArray, VolumeS
 __all__ = ["quality_opt", "prefix_feasible"]
 
 _EPS = 1e-12
+_INF = float("inf")
 
 
 def prefix_feasible(
@@ -47,51 +59,80 @@ def prefix_feasible(
     return bool(np.all(slack >= -rel_tol * np.maximum(1.0, capacities)))
 
 
-def _waterline_for_budget(
-    offsets: VolumeArray, bounds: VolumeArray, budget: Volume
-) -> Volume:
+def _sum(values: VolumeSeq) -> Volume:
+    """``float(np.sum(values))``, bit for bit, on a list of floats.
+
+    NumPy sums float64 pairwise from a +0.0 start: left to right below 8
+    elements, eight interleaved accumulators up to 128, and above that
+    the two halves (split at a multiple of 8) summed recursively.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    acc = list(values[:8])
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        for j in range(8):
+            acc[j] += values[i + j]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for v in values[stop:]:
+        total += v
+    return total + 0.0  # the +0.0 start turns a -0.0 total into 0.0
+
+
+def _levelled(level: Volume, offsets: VolumeSeq, bounds: VolumeSeq) -> List[Volume]:
+    """``np.clip(level - offsets, 0.0, bounds)`` as a list: a max, then a
+    min, with NumPy's sign-of-zero results."""
+    out = []
+    for o, b in zip(offsets, bounds):
+        x = level - o
+        x = x if x > 0.0 else 0.0
+        out.append(x if x < b else b)
+    return out
+
+
+def _waterline(offsets: VolumeSeq, bounds: VolumeSeq, budget: Volume) -> Volume:
     """Water level ``w`` with ``Σ clip(w − offset_i, 0, bound_i) = budget``.
 
-    Returns ``inf`` when even ``w = max(offset+bound)`` does not exhaust
-    the budget (i.e. every job can be fully processed).
+    Returns ``inf`` when the budget covers every bound.  The allocation
+    is piecewise linear and non-decreasing in ``w``, with breakpoints at
+    the offsets and tops (offset + bound): the first breakpoint whose
+    allocation reaches the budget closes the bracket, and the linear
+    piece below it is solved for ``w``.
     """
-    tops = offsets + bounds
-    if float(np.sum(bounds)) <= budget + _EPS:
-        return float("inf")
-    # The allocation Σ clip(w − o_i, 0, b_i) is piecewise linear and
-    # non-decreasing in w with breakpoints at offsets and tops.  The
-    # breakpoint set is deduped/sorted in Python — same values as the
-    # ``np.unique(np.concatenate(...))`` it replaced (inputs are
-    # non-negative, so no −0.0/+0.0 representative ambiguity) at a
-    # fraction of the per-call cost on the small arrays seen here.
-    olist = offsets.tolist()
-    tlist = tops.tolist()
-    points = np.asarray(sorted(set(olist) | set(tlist)))
-
-    # Find the bracketing breakpoints, then solve the linear piece.  The
-    # allocation at every breakpoint is computed in one 2-D reduction;
-    # numpy's row-wise ``np.sum(..., axis=1)`` is bitwise equal to the
-    # per-point 1-D ``np.sum`` scan it replaced (asserted in
-    # tests/core/test_quality_opt.py).
-    alloc_all = np.sum(np.clip(points[:, None] - offsets, 0.0, bounds), axis=1)
-    mask = alloc_all >= budget - _EPS
-    if mask.any():
-        idx = int(np.argmax(mask))
-        hi = float(points[idx])
-        lo = float(points[idx - 1]) if idx > 0 else float(points[0])
-        alloc_lo = float(alloc_all[idx - 1]) if idx > 0 else float(alloc_all[0])
-    else:  # pragma: no cover - Σ bounds > budget guarantees a hit
-        lo = hi = float(points[-1])
-        alloc_lo = float(alloc_all[-1])
+    if _sum(bounds) <= budget + _EPS:
+        return _INF
+    tops = [o + b for o, b in zip(offsets, bounds)]
+    points = sorted(set(offsets).union(tops))  # == np.unique
+    need = budget - _EPS
+    # The lowest breakpoint is the lowest offset, where nothing is
+    # allocated; budget > _EPS, so the scan can start past it.
+    lo = points[0]
+    hi = points[-1]
+    alloc_lo = 0.0
+    for p in points[1:]:
+        alloc = _sum(_levelled(p, offsets, bounds))
+        if alloc >= need:
+            hi = p
+            break
+        lo = p
+        alloc_lo = alloc
     # On (lo, hi] the slope is the number of jobs with offset <= lo < top.
     lo_eps = lo + _EPS
     active = 0
-    for o, tp in zip(olist, tlist):
-        if o <= lo_eps and tp > lo_eps:
+    for o, t in zip(offsets, tops):
+        if o <= lo_eps and t > lo_eps:
             active += 1
-    if active <= 0:
+    if active == 0:
         return hi
-    return lo + (budget - alloc_lo) / float(active)
+    return lo + (budget - alloc_lo) / active
 
 
 def quality_opt(
@@ -124,6 +165,15 @@ def quality_opt(
     Extra-volume vector ``x`` with ``0 ≤ x ≤ bounds``, prefix-feasible,
     maximizing ``Σ f(offset + x)`` for any common concave ``f``.
 
+    Raises
+    ------
+    ValueError
+        Mismatched lengths, a negative or NaN bound or offset, or
+        deadlines that are NaN or not in EDF order.
+    InfeasibleError
+        A negative or NaN capacity, or a deadline in the past (a NaN
+        ``now`` or lone NaN deadline counts as one).
+
     Notes
     -----
     The returned allocation is *f-independent*: levelling total volumes
@@ -131,140 +181,71 @@ def quality_opt(
     quality function, so the caller does not pass ``f`` at all.  (With
     per-job quality functions this would no longer hold.)
     """
-    # Validation and the per-deadline capacities run on Python lists:
-    # scalar compare/multiply/subtract are bitwise equal to the
-    # elementwise numpy expressions they replaced, the interpreter beats
-    # numpy's per-call overhead on these small batches, and list inputs
-    # from the planner skip array construction entirely.
-    if isinstance(bounds, np.ndarray):
-        blist = bounds.tolist()
-    else:
-        blist = [float(b) for b in bounds]
-    if isinstance(deadlines, np.ndarray):
-        dlist = deadlines.tolist()
-    else:
-        dlist = [float(d) for d in deadlines]
+    # Checks are written ``not (x >= 0)`` so that NaN fails them too.
+    blist = list(map(float, bounds))
+    dlist = list(map(float, deadlines))
     n = len(blist)
     if n != len(dlist):
         raise ValueError("bounds and deadlines must have equal length")
     if n == 0:
         return np.zeros(0)
-    if n == 1:
-        # Single-job scalar path (the common case on lightly loaded
-        # cores): the objective is monotone, so grant everything that
-        # fits.  Checks and arithmetic mirror the general path below.
-        b0 = blist[0]
-        if b0 < 0:
-            raise ValueError("bounds must be non-negative")
-        if capacity_per_second < 0:
-            raise InfeasibleError(f"negative capacity {capacity_per_second!r}")
-        if offsets is not None:
-            if len(offsets) != 1 or float(offsets[0]) < 0:
-                raise ValueError("offsets must be non-negative and match bounds")
-        cap0 = capacity_per_second * (dlist[0] - now)
-        if cap0 < -_EPS:
-            raise InfeasibleError("a deadline lies in the past")
-        if not cap0 > 0.0:  # matches np.maximum(cap0, 0.0), -0.0 included
-            cap0 = 0.0
-        return np.array([min(b0, cap0)])
     for b in blist:
-        if b < 0:
+        if not (b >= 0.0):
             raise ValueError("bounds must be non-negative")
     for i in range(n - 1):
-        if dlist[i + 1] - dlist[i] < 0:
+        if not (dlist[i + 1] - dlist[i] >= 0.0):
             raise ValueError("deadlines must be non-decreasing (EDF order)")
-    if capacity_per_second < 0:
+    if not (capacity_per_second >= 0.0):
         raise InfeasibleError(f"negative capacity {capacity_per_second!r}")
     if offsets is None:
         olist = [0.0] * n
     else:
-        if isinstance(offsets, np.ndarray):
-            olist = offsets.tolist()
-        else:
-            olist = [float(o) for o in offsets]
+        olist = list(map(float, offsets))
         if len(olist) != n:
             raise ValueError("offsets must be non-negative and match bounds")
         for o in olist:
-            if o < 0:
+            if not (o >= 0.0):
                 raise ValueError("offsets must be non-negative and match bounds")
-    bounds_arr = np.asarray(blist)
-    offs = np.asarray(olist)
-
-    clist = []
+    caps: List[float] = []
     for d in dlist:
         c = capacity_per_second * (d - now)
-        if c < -_EPS:
+        if not (c >= -_EPS):
             raise InfeasibleError("a deadline lies in the past")
-        clist.append(c if c > 0.0 else 0.0)  # == np.maximum(c, 0.0)
+        caps.append(c if c > 0.0 else 0.0)  # == np.maximum(c, 0.0)
+    if n == 1:
+        return np.array([min(blist[0], caps[0])])
 
-    # All-fits fast path: when every EDF prefix fits its capacity, no
-    # prefix binds and the nested water-filling below grants every bound
-    # in full (its ``best_w == inf`` exit).  Prefix sums are tracked
-    # with a cheap sequential running sum; numpy's pairwise ``np.sum``
-    # (which the general loop evaluates) can differ from it by at most
-    # ~(k+1)·eps relative, so comparisons landing inside a conservative
-    # error band are re-decided with the exact ``np.sum`` expression.
-    # Taking this path therefore cannot change the result by even an
-    # ulp.
-    all_fit = True
-    running = 0.0
-    for k in range(n):
-        cap_k = clist[k]
-        if cap_k <= _EPS:
-            all_fit = False
-            break
-        running += blist[k]
-        gap = running - (cap_k + _EPS)
-        tol = (k + 1) * 1e-14 * running  # >> (k+1)·eps·Σ summation error
-        if gap > tol:
-            all_fit = False
-            break
-        if gap > -tol and float(np.sum(bounds_arr[: k + 1])) > cap_k + _EPS:
-            all_fit = False
-            break
-    if all_fit:
-        return bounds_arr.copy()
-
-    result = np.zeros(n)
+    out: List[float] = []
     start = 0
     consumed = 0.0
-    pos_idx = 0  # first index >= start holding a bound > _EPS (lazily advanced)
     while start < n:
-        # Waterline for every candidate prefix of the remaining jobs.
-        best_k = None
-        best_w = float("inf")
-        sub_off = offs[start:]
-        sub_bnd = bounds_arr[start:]
-        if pos_idx < start:
-            pos_idx = start
-        while pos_idx < n and not blist[pos_idx] > _EPS:
-            pos_idx += 1
-        for k in range(n - start):
-            budget = clist[start + k] - consumed
+        # The lowest waterline over every prefix of the remaining jobs.
+        best_end = start
+        best_w = _INF
+        has_work = False  # a bound > _EPS among blist[start:end]
+        for end in range(start + 1, n + 1):
+            has_work = has_work or blist[end - 1] > _EPS
+            budget = caps[end - 1] - consumed
             if budget <= _EPS:
                 # No capacity before this deadline: its prefix gets 0.
-                # (The prefix holds positive work iff the first positive
-                # bound at or past ``start`` falls inside it — same truth
-                # value as ``np.any(sub_bnd[:k+1] > _EPS)``.)
-                w = -float("inf") if pos_idx <= start + k else float("inf")
+                w = -_INF if has_work else _INF
                 if w < best_w:
                     best_w = w
-                    best_k = k
+                    best_end = end
                 continue
-            w = _waterline_for_budget(sub_off[: k + 1], sub_bnd[: k + 1], budget)
+            w = _waterline(olist[start:end], blist[start:end], budget)
             if w < best_w - _EPS:
                 best_w = w
-                best_k = k
-        if best_k is None or best_w == float("inf"):
+                best_end = end
+        if best_w == _INF:
             # No prefix binds: every remaining job is fully served.
-            result[start:] = bounds_arr[start:]
+            out.extend(blist[start:])
             break
-        block = slice(start, start + best_k + 1)
-        if best_w == -float("inf"):
-            alloc = np.zeros(best_k + 1)
+        if best_w == -_INF:
+            alloc = [0.0] * (best_end - start)
         else:
-            alloc = np.clip(best_w - offs[block], 0.0, bounds_arr[block])
-        result[block] = alloc
-        consumed += float(np.sum(alloc))
-        start = start + best_k + 1
-    return result
+            alloc = _levelled(best_w, olist[start:best_end], blist[start:best_end])
+        out.extend(alloc)
+        consumed += _sum(alloc)
+        start = best_end
+    return np.array(out)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.quality_opt import prefix_feasible, quality_opt
+from repro.core.quality_opt import _sum, prefix_feasible, quality_opt
 from repro.errors import InfeasibleError
 from repro.quality.functions import ExponentialQuality
 
@@ -112,6 +113,35 @@ class TestQualityOpt:
         with pytest.raises(ValueError):
             quality_opt([1.0, 1.0], [2.0, 1.0], 0.0, 100.0)
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (([math.nan], [1.0], 0.0, 2.0), ValueError),
+            (([5.0, math.nan], [1.0, 2.0], 0.0, 3.0), ValueError),
+            (([5.0, 5.0], [math.nan, 2.0], 0.0, 3.0), ValueError),
+            (([5.0], [math.nan], 0.0, 2.0), InfeasibleError),
+            (([5.0, 5.0], [1.0, 2.0], 0.0, math.nan), InfeasibleError),
+            (([5.0, 5.0], [1.0, 2.0], math.nan, 3.0), InfeasibleError),
+        ],
+        ids=[
+            "nan-bound-single",
+            "nan-bound-pair",
+            "nan-deadline-pair",
+            "nan-deadline-single",
+            "nan-capacity",
+            "nan-now",
+        ],
+    )
+    def test_nan_inputs_raise_typed_errors(self, args, error):
+        """NaN fails every ``not (x >= 0)`` check instead of leaking into
+        the grant or silently dropping every job."""
+        with pytest.raises(error):
+            quality_opt(*args)
+
+    def test_nan_offset_rejected(self):
+        with pytest.raises(ValueError, match="offsets"):
+            quality_opt([5.0, 5.0], [1.0, 2.0], 0.0, 3.0, offsets=[0.0, math.nan])
+
     @settings(max_examples=60, deadline=None)
     @given(
         bounds=st.lists(st.floats(min_value=0.0, max_value=400.0), min_size=1, max_size=6),
@@ -141,6 +171,95 @@ class TestQualityOpt:
         scale = min(1.0, capacity / total)
         naive = sum(float(F(b * scale)) for b in bounds)
         assert opt_val >= naive - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Optimality certificate.  It reads only the inputs and the grant, never a
+# helper of quality_opt.py, so it checks the answer rather than the method.
+# ---------------------------------------------------------------------------
+
+
+def assert_certified(bounds, deadlines, now, capacity, offsets, x, rel=1e-9):
+    """Assert that the grant ``x`` is optimal for every shared concave ``f``.
+
+    These are the KKT conditions of the problem.  The grant is feasible
+    (``0 <= x <= b``, every EDF prefix fits).  Cut at its tight prefixes,
+    it splits into consecutive blocks.  Inside a block there is one water
+    level ``w``: every job sits at 0 with ``o >= w``, at its bound with
+    ``o + b <= w``, or at the level ``o + x = w``.  The levels do not
+    decrease from block to block.  A last block that ends on no tight
+    prefix has spare capacity, so it must grant every bound in full.
+    Volumes compare within ``rel`` of the batch's largest volume.
+    """
+    n = len(bounds)
+    offs = [0.0] * n if offsets is None else [float(o) for o in offsets]
+    caps = [max(capacity * (d - now), 0.0) for d in deadlines]
+    tol = rel * max([1.0] + [o + b for o, b in zip(offs, bounds)])
+    tight = []
+    total = 0.0
+    for k in range(n):
+        assert 0.0 <= x[k] <= bounds[k], f"job {k}: grant {x[k]} outside [0, {bounds[k]}]"
+        total += x[k]
+        cap_tol = rel * max(1.0, caps[k])
+        assert total <= caps[k] + cap_tol, f"prefix {k} overflows: {total} > {caps[k]}"
+        tight.append(total >= caps[k] - cap_tol)
+
+    level = -math.inf
+    start = 0
+    while start < n:
+        end = start
+        while end < n - 1 and not tight[end]:
+            end += 1
+        if not tight[end]:
+            assert all(x[i] >= bounds[i] - tol for i in range(start, n)), (
+                f"jobs {start}..{n - 1} are cut although the last prefix has slack"
+            )
+        low, high = -math.inf, math.inf  # the levels the block can take
+        for i in range(start, end + 1):
+            if x[i] > tol:  # above 0, so w >= o + x
+                low = max(low, offs[i] + x[i])
+            if x[i] < bounds[i] - tol:  # below its bound, so w <= o + x
+                high = min(high, offs[i] + x[i])
+        level = max(level, low)  # the lowest level the block can take
+        assert level <= high + tol, f"jobs {start}..{end}: no common level"
+        start = end + 1
+
+
+@st.composite
+def _batches(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    volume = st.floats(min_value=0.0, max_value=400.0)
+    bounds = draw(st.lists(st.just(0.0) | volume, min_size=n, max_size=n))
+    # Zero gaps give duplicate deadlines, and a zero first gap a prefix
+    # with no capacity at all.
+    gaps = draw(st.lists(st.just(0.0) | st.floats(0.0, 0.5), min_size=n, max_size=n))
+    now = draw(st.floats(min_value=0.0, max_value=5.0))
+    capacity = draw(st.just(0.0) | st.floats(min_value=0.0, max_value=2000.0))
+    offsets = draw(st.none() | st.lists(st.floats(0.0, 300.0), min_size=n, max_size=n))
+    deadlines = (now + np.cumsum(gaps)).tolist()
+    return bounds, deadlines, now, capacity, offsets
+
+
+class TestOptimalityCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(batch=_batches())
+    def test_grant_is_certified_optimal(self, batch):
+        bounds, deadlines, now, capacity, offsets = batch
+        x = quality_opt(bounds, deadlines, now, capacity, offsets=offsets).tolist()
+        assert_certified(bounds, deadlines, now, capacity, offsets, x)
+
+    def test_certificate_rejects_suboptimal_grants(self):
+        bounds, deadlines = [300.0, 300.0, 50.0], [1.0, 1.0, 1.0]
+        # Proportional truncation: feasible and tight, but not level.
+        with pytest.raises(AssertionError, match="no common level"):
+            assert_certified(bounds, deadlines, 0.0, 250.0, None, [b * 250 / 650 for b in bounds])
+        # Levelled, but 10 units of capacity left unused.
+        with pytest.raises(AssertionError, match="slack"):
+            assert_certified(bounds, deadlines, 0.0, 250.0, None, [95.0, 95.0, 50.0])
+        # Over the capacity of the first deadline.
+        with pytest.raises(AssertionError, match="overflows"):
+            assert_certified([500.0, 500.0], [0.1, 10.0], 0.0, 1000.0, None, [150.0, 500.0])
+        assert_certified(bounds, deadlines, 0.0, 250.0, None, [100.0, 100.0, 50.0])
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +343,14 @@ def _quality_opt_ref(bounds, deadlines, now, capacity_per_second, offsets=None):
 
 class TestBitwiseAgainstReference:
     """The optimized quality_opt must match the original algorithm bit
-    for bit on random batches covering every regime: all-fits fast path,
+    for bit on random batches covering every regime: every bound fitting,
     binding prefixes, zero-capacity prefixes, nonzero offsets, and
     duplicate deadlines."""
 
-    def _random_case(self, rng):
-        n = int(rng.integers(1, 12))
+    def _random_case(self, rng, low=1, high=12):
+        n = int(rng.integers(low, high))
         bounds = rng.uniform(0.0, 300.0, n)
-        # Occasionally zero out bounds to exercise the pos_idx pointer.
+        # Occasionally zero out bounds to exercise the positive-bound flag.
         bounds[rng.uniform(size=n) < 0.15] = 0.0
         gaps = rng.uniform(0.0, 2.0, n)
         # Duplicate-deadline clusters with probability ~1/3.
@@ -251,6 +370,16 @@ class TestBitwiseAgainstReference:
             got = quality_opt(bounds, dls, now, cap, offsets=offs)
             ref = _quality_opt_ref(bounds, dls, now, cap, offsets=offs)
             assert got.tolist() == ref.tolist()
+
+    def test_large_batches_bitwise_equal(self):
+        """8 to 64 jobs: past 7 elements ``np.sum`` leaves its
+        left-to-right loop for eight pairwise accumulators."""
+        rng = np.random.default_rng(4321)
+        for _ in range(100):
+            bounds, dls, now, cap, offs = self._random_case(rng, low=8, high=65)
+            got = quality_opt(bounds, dls, now, cap, offsets=offs)
+            ref = _quality_opt_ref(bounds, dls, now, cap, offsets=offs)
+            assert got.tobytes() == ref.tobytes()
 
     def test_generous_capacity_hits_fast_path_bitwise(self):
         rng = np.random.default_rng(99)
@@ -278,18 +407,20 @@ class TestBitwiseAgainstReference:
             assert from_arrays.tolist() == from_lists.tolist()
 
     def test_row_reduction_matches_per_point_scan(self):
-        """The 2-D `np.sum(..., axis=1)` inside `_waterline_for_budget`
-        must be bitwise equal to the per-point 1-D scan it replaced
-        (promised in the quality_opt.py comment)."""
+        """The breakpoint allocations of a waterline solve agree bit for
+        bit three ways: NumPy's row-wise 2-D ``np.sum(..., axis=1)``,
+        the oracle's per-point 1-D scan, and ``_sum`` over each row."""
         rng = np.random.default_rng(5)
         for _ in range(300):
             n = int(rng.integers(1, 16))
             offsets = rng.uniform(0.0, 200.0, n)
             bounds = rng.uniform(0.0, 200.0, n)
             points = np.unique(np.concatenate([offsets, offsets + bounds]))
-            rows = np.sum(np.clip(points[:, None] - offsets, 0.0, bounds), axis=1)
+            clipped = np.clip(points[:, None] - offsets, 0.0, bounds)
+            rows = np.sum(clipped, axis=1)
             scan = [float(np.sum(np.clip(p - offsets, 0.0, bounds))) for p in points]
             assert rows.tolist() == scan
+            assert rows.tolist() == [_sum(row) for row in clipped.tolist()]
 
     def test_single_job_edge_cases(self):
         assert quality_opt([5.0], [2.0], 0.0, 10.0).tolist() == [5.0]
@@ -303,3 +434,39 @@ class TestBitwiseAgainstReference:
             quality_opt([5.0], [1.0], 0.0, -2.0)
         with pytest.raises(ValueError, match="offsets"):
             quality_opt([5.0], [1.0], 0.0, 2.0, offsets=[-0.5])
+
+    def test_whole_run_replay_bitwise(self, monkeypatch):
+        """Every Quality-OPT call of a real GE run at 250/s (scale 0.01)
+        matches the oracle bit for bit: real offsets, binding prefixes
+        and the batch sizes a core actually plans."""
+        import repro.core.planner as planner
+        from repro.core.ge import make_ge
+        from repro.experiments.runner import scaled_config
+        from repro.server.harness import SimulationHarness
+
+        calls, mismatches = [], []
+
+        def checked(bounds, deadlines, now, capacity, offsets=None):
+            got = quality_opt(bounds, deadlines, now, capacity, offsets=offsets)
+            ref = _quality_opt_ref(bounds, deadlines, now, capacity, offsets=offsets)
+            if got.tobytes() != ref.tobytes():
+                mismatches.append((bounds, deadlines, now, capacity, offsets))
+            calls.append(len(bounds) > 1 and got.tolist() != list(bounds))
+            return got
+
+        monkeypatch.setattr(planner, "quality_opt", checked)
+        config = scaled_config(0.01, 1, arrival_rate=250.0)
+        SimulationHarness(config, make_ge()).run()
+        assert mismatches == []
+        assert len(calls) > 1000
+        assert sum(calls) > len(calls) // 2  # most calls cut a multi-job batch
+
+
+def test_sum_replicates_numpy_pairwise_order():
+    """``_sum`` equals ``np.sum`` at every length through the 8-element
+    and 128-element switches of NumPy's pairwise summation."""
+    rng = np.random.default_rng(2025)
+    for n in range(301):
+        for _ in range(3):
+            values = 10.0 ** rng.uniform(-8.0, 10.0, n)
+            assert _sum(values.tolist()) == float(np.sum(np.asarray(values)))
