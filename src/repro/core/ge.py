@@ -463,21 +463,19 @@ class GEScheduler(Scheduler):
         targets offline over the whole workload).
         """
         harness = self.harness
+        targets = [float(j.demand) for j in all_jobs]  # BQ: full demands
         if mode is ExecutionMode.AES and all_jobs:
-            demands = np.array([j.demand for j in all_jobs])
             base_achieved = harness.monitor.achieved if self.cut_with_history else 0.0
             base_potential = harness.monitor.potential if self.cut_with_history else 0.0
             targets = lf_cut_waterline(
                 harness.quality_function,
-                demands,
+                targets,
                 self._q_target,
                 base_achieved=base_achieved,
                 base_potential=base_potential,
                 memo=self._waterline_memo,
-            )
-        else:
-            targets = np.array([j.demand for j in all_jobs])
-        return {job.jid: float(t) for job, t in zip(all_jobs, targets)}
+            ).tolist()
+        return {job.jid: t for job, t in zip(all_jobs, targets)}
 
     def _policy_for(self, now: Seconds) -> PowerDistributionPolicy:
         """The distribution branch for this round (may tick the estimator)."""

@@ -37,7 +37,7 @@ replays ``np.sum``'s pairwise order, and ``np.clip(x, 0, b)`` is
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +59,7 @@ def prefix_feasible(
     return bool(np.all(slack >= -rel_tol * np.maximum(1.0, capacities)))
 
 
-def _sum(values: VolumeSeq) -> Volume:
+def _sum(values: Sequence[float]) -> float:
     """``float(np.sum(values))``, bit for bit, on a list of floats.
 
     NumPy sums float64 pairwise from a +0.0 start: left to right below 8

@@ -69,6 +69,10 @@ class QualityFunction(ABC):
             if x < 0:
                 raise ValueError("processed volume must be non-negative")
             return self._value_scalar(min(float(x), self.x_max))
+        if type(x) is np.float64:  # the array path's numerics for a 0-d input
+            if x < 0:
+                raise ValueError("processed volume must be non-negative")
+            return float(self._value(np.float64(min(x, self.x_max))))
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0):
             raise ValueError("processed volume must be non-negative")

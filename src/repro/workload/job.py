@@ -28,6 +28,7 @@ __all__ = ["Job", "JobOutcome"]
 
 #: Volumes smaller than this are treated as zero to absorb float error.
 _VOLUME_EPS = 1e-9
+_INF = float("inf")
 
 
 class JobOutcome(enum.Enum):
@@ -79,9 +80,17 @@ class Job:
     outcome: JobOutcome = field(default=JobOutcome.PENDING)
 
     def __post_init__(self) -> None:
-        if self.demand <= 0:
-            raise ValueError(f"job {self.jid}: demand must be positive ({self.demand!r})")
-        if self.deadline <= self.arrival:
+        # Each check is written so that NaN fails it.
+        if not 0.0 < self.demand < _INF:
+            raise ValueError(
+                f"job {self.jid}: demand must be positive and finite ({self.demand!r})"
+            )
+        if not (-_INF < self.arrival < _INF and -_INF < self.deadline < _INF):
+            raise ValueError(
+                f"job {self.jid}: arrival {self.arrival!r} and deadline {self.deadline!r}"
+                " must be finite"
+            )
+        if not self.deadline > self.arrival:
             raise ValueError(
                 f"job {self.jid}: deadline {self.deadline!r} precedes arrival {self.arrival!r}"
             )

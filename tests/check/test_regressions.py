@@ -89,14 +89,15 @@ class TestCutToleranceIsRelative:
     def test_tol_annotation_is_dimensionless(self):
         import typing
 
-        from repro.core.cutting import lf_cut_waterline
+        import repro.core.cutting as cutting
         from repro.core.cutting_general import lf_cut_mixed
         from repro.units import Unit
 
-        for fn in (lf_cut_waterline, lf_cut_mixed):
+        # lf_cut_waterline's tolerance is the module constant _TOL.
+        for fn, name in ((cutting, "_TOL"), (lf_cut_mixed, "tol")):
             hints = typing.get_type_hints(fn, include_extras=True)
             markers = [
-                m for m in getattr(hints["tol"], "__metadata__", ())
+                m for m in getattr(hints[name], "__metadata__", ())
                 if isinstance(m, Unit)
             ]
             assert markers and markers[0].spec == "1"

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cutting import lf_cut_stepwise, lf_cut_waterline
-from repro.quality.functions import ExponentialQuality, LinearQuality
+from repro.core.cutting import WaterlineMemo, lf_cut_stepwise, lf_cut_waterline
+from repro.quality.aggregate import quality_ratio
+from repro.quality.functions import (
+    ExponentialQuality,
+    LinearQuality,
+    LogQuality,
+    PowerQuality,
+    QualityFunction,
+)
+from repro.units import Dimensionless, QualityFrac, VolumeArray, VolumeSeq
 
 F = ExponentialQuality(c=0.003, x_max=1000.0)
 
@@ -72,6 +82,17 @@ class TestCutContract:
             cut(F, [10.0], 0.0)
         with pytest.raises(ValueError):
             cut(F, [10.0], 1.5)
+        nan, inf = float("nan"), float("inf")
+        for demands in ([nan, 100.0], [100.0, nan], [100.0, inf], [-inf, 100.0], [-5.0]):
+            with pytest.raises(ValueError, match="demands"):
+                cut(F, demands, 0.9)
+        for history in ({"base_achieved": nan}, {"base_potential": nan},
+                        {"base_achieved": inf, "base_potential": inf},
+                        {"base_potential": -inf}):
+            with pytest.raises(ValueError, match="history"):
+                cut(F, [100.0, 300.0], 0.9, **history)
+        with pytest.raises(ValueError, match="q_target"):
+            cut(F, [100.0, 300.0], nan)
 
     def test_underwater_history_disables_cutting(self, cut):
         """If history already sank the quality below target, the cut
@@ -298,3 +319,232 @@ class TestWaterlineMemo:
             memod = self._cut(memo, demands, q=q)
             memod2 = self._cut(memo, demands, q=q)  # hit path
             assert plain.tolist() == memod.tolist() == memod2.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracle: the NumPy formulation of the waterline cut, kept verbatim
+# from before the scalar rewrite.  The scalar cut must return the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def _lf_cut_waterline_ref(
+    f: QualityFunction,
+    demands: VolumeSeq,
+    q_target: QualityFrac,
+    *,
+    base_achieved: Dimensionless = 0.0,
+    base_potential: Dimensionless = 0.0,
+    tol: Dimensionless = 1e-6,
+    max_iter: int = 60,
+    memo: Optional[WaterlineMemo] = None,
+) -> VolumeArray:
+    """LF cut as a waterline: targets are ``min(p_j, L)``.
+
+    Finds the smallest level ``L`` such that the aggregate quality of
+    the batch (on top of the monitor history) is at least ``q_target``.
+    The aggregate quality is non-decreasing in ``L``, so binary search
+    applies.  Returns per-job target volumes in the input order.
+
+    If even full processing cannot reach the target (the history is too
+    far underwater), no cutting is performed (targets = demands); the
+    mode controller will be in BQ mode in that situation anyway.
+
+    Feasibility guarantee: whenever cutting happens (full processing
+    would exceed the target), the returned targets satisfy
+    ``_batch_quality(f, targets, demands, ...) >= q_target`` — the
+    binary search keeps ``hi`` on the feasible side of the bracket at
+    every step, so the returned level is never the infeasible ``lo``.
+
+    ``memo`` optionally caches the last result across rounds; see
+    :class:`WaterlineMemo`.
+    """
+    demands_arr = np.asarray(demands, dtype=float)
+    if demands_arr.size == 0:
+        return demands_arr.copy()
+    if np.any(demands_arr <= 0):
+        raise ValueError("demands must be positive")
+    if not 0.0 < q_target <= 1.0:
+        raise ValueError(f"q_target must be in (0, 1], got {q_target!r}")
+
+    key: Optional[Tuple[bytes, float, float, float]] = None
+    if memo is not None:
+        key = (demands_arr.tobytes(), q_target, base_achieved, base_potential)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+
+    top = float(np.max(demands_arr))
+    # Evaluate f over the demand vector once; every bisection step below
+    # reuses these per-job values instead of recomputing the whole batch.
+    f_demands = np.asarray(f(demands_arr), dtype=float)
+    sum_f_demands = float(np.sum(f_demands))
+    potential = base_potential + sum_f_demands
+    full_q = quality_ratio(base_achieved + sum_f_demands, potential)
+    if full_q <= q_target:
+        targets = demands_arr.copy()  # cannot afford any cutting
+        if memo is not None and key is not None:
+            memo.put(key, targets)
+        return targets
+    zero_q = quality_ratio(
+        base_achieved + float(np.sum(f(np.zeros_like(demands_arr)))), potential
+    )
+    if zero_q >= q_target:
+        targets = np.zeros_like(demands_arr)  # history surplus covers the batch
+        if memo is not None and key is not None:
+            memo.put(key, targets)
+        return targets
+
+    lo, hi = 0.0, top
+    q_hi = full_q  # quality at the feasible (hi) end of the bracket
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        # min(d_j, mid) maps each job to either its own f(d_j) — already
+        # in f_demands — or to f(mid); the shape-preserving select keeps
+        # the summation order identical to evaluating f on the clipped
+        # vector, so the search trajectory is bit-for-bit unchanged.
+        f_mid = float(f(np.float64(mid)))
+        achieved = base_achieved + float(
+            np.sum(np.where(demands_arr <= mid, f_demands, f_mid))
+        )
+        q = quality_ratio(achieved, potential)
+        if q < q_target:
+            lo = mid
+        else:
+            hi = mid
+            q_hi = q
+        if hi - lo <= tol * max(1.0, top):
+            break
+    if q_hi < q_target:  # pragma: no cover - the invariant above forbids this
+        hi, q_hi = top, full_q  # defensive: fall back to the known-feasible end
+    targets = np.minimum(demands_arr, hi)
+    if memo is not None and key is not None:
+        memo.put(key, targets)
+    return targets
+
+
+FAMILIES = [
+    ExponentialQuality(c=0.003, x_max=1000.0),
+    ExponentialQuality(c=0.01, x_max=1000.0),
+    ExponentialQuality(c=0.003, x_max=300.0),  # demands above x_max clamp
+    LogQuality(),
+    PowerQuality(0.37),
+    LinearQuality(x_max=1000.0),
+]
+FAMILY_IDS = ["exp", "exp-c0.01", "exp-xmax300", "log", "power", "linear"]
+
+
+def _first_midpoint_quality(f, demands, base_achieved=0.0, base_potential=0.0):
+    """The aggregate quality the oracle computes at its first midpoint.
+
+    Used as ``q_target``, it puts a tie on the oracle's first comparison,
+    so an error of one ulp in the sum or in ``f(mid)`` turns the search.
+    """
+    d = np.asarray(demands, dtype=float)
+    f_d = np.asarray(f(d), dtype=float)
+    mid = 0.5 * (0.0 + float(np.max(d)))
+    f_mid = float(f(np.float64(mid)))
+    achieved = base_achieved + float(np.sum(np.where(d <= mid, f_d, f_mid)))
+    return quality_ratio(achieved, base_potential + float(np.sum(f_d)))
+
+
+class TestBitwiseAgainstReference:
+    @pytest.mark.parametrize("f", FAMILIES, ids=FAMILY_IDS)
+    def test_seeded_batches_bitwise_equal(self, f):
+        """Every length from 1 to 64 and a few past 128 (where ``_sum``
+        halves recursively), each with and without history, with and
+        without duplicate demands, as a list and as an ndarray; the
+        target is drawn at random, or ties the oracle's first step."""
+        rng = np.random.default_rng(14)
+        outcomes = {"full": 0, "zero": 0, "cut": 0}
+        for n in [*range(1, 65), 129, 136, 200, 257, 300]:
+            for duplicates in (False, True):
+                demands = rng.uniform(1.0, 1000.0, n)
+                if duplicates:
+                    demands = rng.choice(demands[: max(1, n // 3)], n)
+                    demands[-1] = 0.5 * float(np.max(demands))  # a job at the first midpoint
+                q = float(rng.uniform(0.3, 0.999))
+                potential = float(rng.uniform(0.0, 3.0 * n))
+                history = {
+                    "base_achieved": potential * float(rng.uniform(0.8, 1.0)),
+                    "base_potential": potential,
+                }
+                for kw in ({}, history):
+                    for batch in (demands, demands.tolist()):
+                        got = lf_cut_waterline(f, batch, q, **kw)
+                        ref = _lf_cut_waterline_ref(f, batch, q, **kw)
+                        assert got.tobytes() == ref.tobytes(), (n, q, kw)
+                    if got.tolist() == demands.tolist():
+                        outcomes["full"] += 1
+                    elif not got.any():
+                        outcomes["zero"] += 1
+                    else:
+                        outcomes["cut"] += 1
+                    tie = _first_midpoint_quality(f, demands, **kw)
+                    for q_tie in (tie, float(np.nextafter(tie, 2.0))):
+                        if 0.0 < q_tie <= 1.0:
+                            got = lf_cut_waterline(f, demands, q_tie, **kw)
+                            ref = _lf_cut_waterline_ref(f, demands, q_tie, **kw)
+                            assert got.tobytes() == ref.tobytes(), (n, q_tie, kw)
+        assert outcomes["cut"] > 100
+        assert outcomes["full"] > 0 and outcomes["zero"] > 0, outcomes
+
+    @pytest.mark.parametrize("f", FAMILIES, ids=FAMILY_IDS)
+    def test_single_job_ties_bitwise_equal(self, f):
+        """One-job batches whose target ties the oracle's first step: the
+        quality there is f(top/2)/f(top), so an error of one ulp in f at
+        the midpoint turns the search."""
+        rng = np.random.default_rng(41)
+        for top in rng.uniform(1.0, 1000.0, 400).tolist():
+            tie = _first_midpoint_quality(f, [top])
+            for q in (tie, float(np.nextafter(tie, 2.0))):
+                if q <= 1.0:
+                    got = lf_cut_waterline(f, [top], q)
+                    ref = _lf_cut_waterline_ref(f, [top], q)
+                    assert got.tobytes() == ref.tobytes(), (top, q)
+
+    def test_whole_run_replay_bitwise(self, monkeypatch):
+        """Every LF cut of a real GE run at 100/s (scale 0.01) matches
+        the oracle bit for bit: real demands, history terms and memo."""
+        import repro.core.ge as ge
+        from repro.core.ge import make_ge
+        from repro.experiments.runner import scaled_config
+        from repro.server.harness import SimulationHarness
+
+        calls, mismatches = [], []
+
+        def checked(f, demands, q_target, **kw):
+            got = lf_cut_waterline(f, demands, q_target, **kw)
+            kw.pop("memo", None)
+            ref = _lf_cut_waterline_ref(f, demands, q_target, **kw)
+            if got.tobytes() != ref.tobytes():
+                mismatches.append((list(demands), q_target, kw))
+            calls.append(got.tolist() != list(demands))
+            return got
+
+        monkeypatch.setattr(ge, "lf_cut_waterline", checked)
+        config = scaled_config(0.01, 1, arrival_rate=100.0)
+        SimulationHarness(config, make_ge()).run()
+        assert mismatches == []
+        assert len(calls) > 200
+        assert sum(calls) > len(calls) // 2  # most calls cut the batch
+
+    @pytest.mark.parametrize(
+        "f", [FAMILIES[0], FAMILIES[3], FAMILIES[4], FAMILIES[5]],
+        ids=["exp", "log", "power", "linear"],
+    )
+    def test_float64_call_keeps_array_numerics(self, f):
+        """The oracle also calls ``f(np.float64(mid))``, so it cannot catch
+        a wrong ``np.float64`` branch in ``QualityFunction.__call__``: pin
+        it to the array path's result for a 0-d input."""
+        rng = np.random.default_rng(3)
+        xs = [0.0, f.x_max, *rng.uniform(0.0, 1.2 * f.x_max, 2000).tolist()]
+        for x in xs:
+            got = f(np.float64(x))
+            assert type(got) is float
+            assert got == f(np.array(x))  # the 0-d array path
+            if not isinstance(f, PowerQuality):
+                # NumPy's scalar ``**`` takes libm's pow, which differs
+                # from the vectorized loop in the last bit on some inputs.
+                assert got == float(f(np.array([x]))[0])
+        with pytest.raises(ValueError, match="non-negative"):
+            f(np.float64(-1.0))

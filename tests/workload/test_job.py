@@ -28,6 +28,18 @@ def test_invalid_construction():
         make_job(deadline=-1.0)
     with pytest.raises(ValueError):
         make_job(processed=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        {"demand": nan},
+        {"demand": inf},
+        {"deadline": nan},
+        {"deadline": inf},
+        {"arrival": nan},
+        {"arrival": -inf},
+        {"arrival": nan, "deadline": nan},
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            make_job(**bad)
 
 
 def test_progress_accumulates_and_clamps():

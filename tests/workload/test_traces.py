@@ -53,6 +53,9 @@ def test_wrong_field_count_rejected():
 def test_invalid_job_values_rejected_with_line():
     with pytest.raises(ValueError, match=":2:"):
         loads_trace("jid,arrival,deadline,demand\n1,0.0,1.0,-5.0\n")
+    for row in ("2,0.0,0.15,nan", "2,0.0,0.15,inf", "2,0.0,nan,100.0", "2,nan,0.15,100.0"):
+        with pytest.raises(ValueError, match=":3: job 2: .*finite"):
+            loads_trace(f"jid,arrival,deadline,demand\n1,0.0,1.0,5.0\n{row}\n")
 
 
 def test_blank_lines_skipped():
