@@ -5,7 +5,7 @@ A :class:`DisturbanceSchedule` is pure data: a validated tuple of
 It lives on :class:`repro.config.SimulationConfig` (the ``disturbances``
 field) so it is content-addressed into the config fingerprint — two
 runs that differ only in their schedule get different fingerprints and
-are never conflated by the run store, bench snapshots or fleet rollups.
+are never conflated by the run store or fleet rollups.
 
 Four disturbance kinds are modeled (see ``docs/robustness.md``):
 

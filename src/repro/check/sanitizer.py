@@ -31,8 +31,7 @@ guarantee as the plain tracer).
 
 The energy cross-check re-integrates each core's timeline from scratch
 at every sample, so a sanitized run costs O(samples × breakpoints) —
-fine for the seeded 10-second debugging scenarios it exists for, and
-tunable via ``energy_check_every``.
+fine for the seeded 10-second debugging scenarios it exists for.
 """
 
 from __future__ import annotations
@@ -91,9 +90,6 @@ class Sanitizer(Sink):
         Quality floor asserted on AES-mode decisions; ``None`` disables
         the check (use it only for compensated, cutting schedulers —
         see :meth:`for_run`).
-    energy_check_every:
-        Cross-check cumulative energy on every k-th core sample batch
-        (1 = every quantum boundary).
     """
 
     def __init__(
@@ -101,18 +97,13 @@ class Sanitizer(Sink):
         *,
         budget: Optional[float] = None,
         q_floor: Optional[float] = None,
-        energy_check_every: int = 1,
     ) -> None:
-        if energy_check_every < 1:
-            raise ValueError("energy_check_every must be >= 1")
         self.budget = None if budget is None else float(budget)
         self.q_floor = None if q_floor is None else float(q_floor)
-        self.energy_check_every = int(energy_check_every)
         self.checks_run = 0
         self._last_time = float("-inf")
         self._demand: Dict[int, float] = {}
         self._volume: Dict[int, float] = {}
-        self._sample_batches = 0
 
     @classmethod
     def for_run(cls, config: Any, scheduler: Any = None) -> "Sanitizer":
@@ -187,10 +178,8 @@ class Sanitizer(Sink):
         self._advance_clock(time, "core sample")
         if not samples:
             return
-        self._sample_batches += 1
         self._check_power_budget(samples, time)
-        if self._sample_batches % self.energy_check_every == 0:
-            self._check_energy(machine, samples, time)
+        self._check_energy(machine, samples, time)
 
     # ------------------------------------------------------------------
     # The invariants
@@ -316,11 +305,8 @@ class SanitizingTracer(Tracer):
         *,
         budget: Optional[float] = None,
         q_floor: Optional[float] = None,
-        energy_check_every: int = 1,
     ) -> None:
-        self.sanitizer = Sanitizer(
-            budget=budget, q_floor=q_floor, energy_check_every=energy_check_every
-        )
+        self.sanitizer = Sanitizer(budget=budget, q_floor=q_floor)
         super().__init__(sinks=(Buffer(), self.sanitizer))
 
     @classmethod

@@ -6,8 +6,8 @@ List the reproducible figures::
 
     repro-cli list
 
-Regenerate Fig. 3 at bench scale, or at the paper's full 10-minute
-horizon::
+Regenerate Fig. 3 at its default reduced horizon, or at the paper's
+full 10-minute horizon::
 
     repro-cli fig 3
     repro-cli fig 3 --paper-scale
@@ -23,12 +23,6 @@ scenario run and export it as JSONL::
 
 Any ``run``/``scenario`` invocation can also dump a trace alongside its
 summary row via ``--trace`` / ``--trace-out PATH``.
-
-Snapshot the performance of the fixed bench suite, and gate a change
-against a baseline snapshot::
-
-    repro-cli bench --out BENCH_new.json
-    repro-cli bench compare benchmarks/baseline.json BENCH_new.json
 """
 
 from __future__ import annotations
@@ -163,14 +157,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="execute a scenario × seed × rate grid"
     )
     fleet_run.add_argument("--scenarios", default="ge_light,ge_nominal",
-                           help="comma-separated bench scenario names "
-                                "(see 'repro-cli bench --list')")
+                           help="comma-separated fleet scenario names "
+                                "(see repro.experiments.registry.FLEET_SCENARIOS)")
     fleet_run.add_argument("--seeds", default="1,2",
                            help="comma-separated seeds")
     fleet_run.add_argument("--rates", default=None,
                            help="comma-separated arrival-rate overrides "
                                 "(optional third grid axis)")
-    fleet_run.add_argument("--scale", type=float, default=None,
+    fleet_run.add_argument("--scale", type=float, default=0.02,
                            help="horizon scale per task (default 0.02 ≈ 12 s)")
     fleet_run.add_argument("--workers", type=int, default=2,
                            help="worker processes (spawn start method)")
@@ -273,52 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--scheduler", default="GE", choices=sorted(_SCHEDULERS))
     replay.add_argument("--q-ge", type=float, default=0.9)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the performance bench suite and write a snapshot "
-             "(or compare two snapshots)",
-    )
-    bench.add_argument("--out", metavar="PATH", default=None,
-                       help="snapshot output path (default: BENCH_<label>.json)")
-    bench.add_argument("--label", default="local",
-                       help="snapshot label, embedded in the artifact")
-    bench.add_argument("--scale", type=float, default=None,
-                       help="horizon scale per scenario (default: 0.02 ≈ 12 s)")
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--repeats", type=int, default=1,
-                       help="timed repeats per scenario; the fastest is kept")
-    bench.add_argument("--scenarios", default=None,
-                       help="comma-separated subset of the suite")
-    bench.add_argument("--mem", action="store_true",
-                       help="also record the tracemalloc allocation peak "
-                            "(separate untimed run per scenario)")
-    bench.add_argument("--tracer", default="full", choices=("full", "stream"),
-                       help="telemetry sink under test: the buffering tracer "
-                            "or the constant-memory streaming one")
-    bench.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="fan scenarios across N worker processes "
-                            "(results identical; wall times then measure a "
-                            "contended host — do not compare against a "
-                            "sequential baseline)")
-    bench.add_argument("--list", action="store_true", dest="list_scenarios",
-                       help="list the suite's scenarios and exit")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=False)
-    cmp_p = bench_sub.add_parser(
-        "compare", help="diff two snapshots; exits 1 on regression"
-    )
-    cmp_p.add_argument("old", help="baseline BENCH_*.json")
-    cmp_p.add_argument("new", help="candidate BENCH_*.json")
-    cmp_p.add_argument("--threshold", type=float, default=1.25,
-                       help="wall-time regression ratio (default 1.25)")
-    cmp_p.add_argument("--fidelity-tol", type=float, default=1e-6,
-                       help="relative tolerance for quality/energy drift")
-    cmp_p.add_argument("--no-fidelity", action="store_true",
-                       help="skip the fidelity and determinism gates")
-    cmp_p.add_argument("--scenarios", dest="cmp_scenarios", default=None,
-                       metavar="NAMES",
-                       help="comma-separated scenario names to compare "
-                            "(default: all; scenarios outside the filter "
-                            "are ignored rather than counted as missing)")
     return parser
 
 
@@ -679,7 +627,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.obs.runs import FLEET_SCHEMA, RunStore, format_fleet
 
         if args.fleet_command == "run":
-            from repro.experiments.bench import DEFAULT_SCALE
             from repro.experiments.fleet import (
                 fleet_compliance,
                 run_fleet,
@@ -692,10 +639,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
                 rates = ([float(r) for r in args.rates.split(",") if r.strip()]
                          if args.rates else None)
-                tasks = fleet_grid(
-                    scenarios, seeds, rates=rates,
-                    scale=args.scale if args.scale is not None else DEFAULT_SCALE,
-                )
+                tasks = fleet_grid(scenarios, seeds, rates=rates, scale=args.scale)
             except (KeyError, ValueError) as exc:
                 print(f"fleet: {exc.args[0] if exc.args else exc}")
                 return 2
@@ -857,65 +801,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         summary = replicate(config, _SCHEDULERS[args.scheduler], n=args.n)
         print(summary.row())
-        return 0
-
-    if args.command == "bench":
-        from repro.experiments import bench as bench_mod
-
-        if args.bench_command == "compare":
-            try:
-                old = bench_mod.load_snapshot(args.old)
-                new = bench_mod.load_snapshot(args.new)
-            except (OSError, ValueError) as exc:
-                print(f"bench compare: {exc}")
-                return 2
-            cmp_names = None
-            if args.cmp_scenarios:
-                cmp_names = [
-                    n.strip() for n in args.cmp_scenarios.split(",") if n.strip()
-                ]
-            try:
-                comparison = bench_mod.compare_snapshots(
-                    old,
-                    new,
-                    threshold=args.threshold,
-                    fidelity_tol=args.fidelity_tol,
-                    check_fidelity=not args.no_fidelity,
-                    scenarios=cmp_names,
-                )
-            except ValueError as exc:
-                print(f"bench compare: {exc}")
-                return 2
-            print(comparison.render())
-            return 0 if comparison.ok else 1
-        if args.list_scenarios:
-            for scenario in bench_mod.SUITE.values():
-                print(f"{scenario.name:<14} {scenario.description}")
-            return 0
-        names = None
-        if args.scenarios:
-            names = [n.strip() for n in args.scenarios.split(",") if n.strip()]
-        try:
-            snapshot = bench_mod.collect_snapshot(
-                args.label,
-                scale=args.scale if args.scale is not None else bench_mod.DEFAULT_SCALE,
-                seed=args.seed,
-                repeats=args.repeats,
-                scenarios=names,
-                mem=args.mem,
-                tracer=args.tracer,
-                parallel=args.parallel,
-                progress=print,
-            )
-        except KeyError as exc:
-            print(f"bench: {exc.args[0]}")
-            return 2
-        except KeyboardInterrupt:
-            print("bench: interrupted — no snapshot written")
-            return 130
-        out = args.out or f"BENCH_{args.label}.json"
-        bench_mod.write_snapshot(snapshot, out)
-        print(f"wrote bench snapshot ({len(snapshot['scenarios'])} scenarios) to {out}")
         return 0
 
     if args.command == "trace":

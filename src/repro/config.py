@@ -21,6 +21,7 @@ threshold scales when m, H or the demand distribution change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -104,12 +105,16 @@ class SimulationConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
-            raise ConfigurationError(f"arrival_rate must be positive: {self.arrival_rate!r}")
+        # Written so that NaN fails every check (all comparisons with
+        # NaN are false).
+        for name in ("arrival_rate", "horizon", "budget", "quantum"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite: {value!r}")
+        if not self.m >= 1:
+            raise ConfigurationError(f"m must be >= 1: {self.m!r}")
         if not 0.0 < self.q_ge <= 1.0:
             raise ConfigurationError(f"q_ge must be in (0, 1]: {self.q_ge!r}")
-        if self.quantum <= 0:
-            raise ConfigurationError(f"quantum must be positive: {self.quantum!r}")
         if self.counter_threshold < 1:
             raise ConfigurationError("counter_threshold must be >= 1")
         if not 0.0 < self.critical_load_fraction:
@@ -139,14 +144,14 @@ class SimulationConfig:
 
         Two configs share a fingerprint iff all their fields are equal,
         so an artifact stamped with the fingerprint (a trace header, a
-        bench snapshot) identifies the exact run setup without embedding
+        stored run) identifies the exact run setup without embedding
         the whole config.  The digest is the first 12 hex chars of the
         SHA-256 of the canonical (sorted-key, repr-exact) JSON of the
         dataclass fields.
 
         A ``disturbances`` schedule is part of the payload — two runs
         differing only in their chaos schedule must never be conflated
-        by the run store or bench/fleet rollups — but the key is dropped
+        by the run store or fleet rollups — but the key is dropped
         entirely when no schedule is set, so every pre-chaos fingerprint
         is preserved verbatim.
         """

@@ -3,7 +3,7 @@
 The paper's evaluation is a grid — schedulers × arrival rates × seeds —
 and this module runs that grid as a *fleet* instead of a for-loop.  A
 :class:`~repro.experiments.registry.FleetTask` names one grid cell
-(bench scenario × seed × optional rate override); :func:`run_fleet`
+(fleet scenario × seed × optional rate override); :func:`run_fleet`
 fans a task list across spawn-context worker processes, each of which
 runs its cell under a :class:`~repro.obs.stream.StreamingTracer` whose
 extra bus sink ships ``repro.bus/1`` telemetry (see
@@ -49,8 +49,7 @@ from queue import Empty, Full, Queue
 from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.errors import ReproError
-from repro.experiments.bench import SUITE
-from repro.experiments.registry import FleetTask
+from repro.experiments.registry import FLEET_SCENARIOS, FleetTask
 from repro.obs.bus import BusSender, FleetAggregator
 from repro.obs.runs import FLEET_SCHEMA, RunStore, make_summary
 from repro.obs.spans import EventRecord
@@ -168,11 +167,11 @@ def execute_task(
     Only ``wall_s`` is host-dependent; everything else is a pure
     function of (config, seed).
     """
-    scenario = SUITE.get(task.scenario)
+    scenario = FLEET_SCENARIOS.get(task.scenario)
     if scenario is None:
         raise ReproError(
             f"unknown fleet scenario {task.scenario!r}; "
-            f"available: {', '.join(SUITE)}"
+            f"available: {', '.join(FLEET_SCENARIOS)}"
         )
     if task.inject == "raise":
         raise RuntimeError(f"injected failure in task {task.key}")
@@ -287,11 +286,11 @@ def _validate_tasks(tasks: Sequence[FleetTask]) -> None:
     duplicates = sorted({k for k in keys if keys.count(k) > 1})
     if duplicates:
         raise ReproError(f"duplicate fleet task keys: {', '.join(duplicates)}")
-    unknown = sorted({t.scenario for t in tasks if t.scenario not in SUITE})
+    unknown = sorted({t.scenario for t in tasks if t.scenario not in FLEET_SCENARIOS})
     if unknown:
         raise ReproError(
             f"unknown fleet scenario(s): {', '.join(unknown)}; "
-            f"available: {', '.join(SUITE)}"
+            f"available: {', '.join(FLEET_SCENARIOS)}"
         )
 
 
@@ -625,7 +624,7 @@ def run_fleet(
 
 
 # ----------------------------------------------------------------------
-# Generic spawn-pool map (``repro bench --parallel``, sweep_rates)
+# Generic spawn-pool map (sweep_rates)
 # ----------------------------------------------------------------------
 def parallel_map(
     fn: Callable[[_T], _U], items: Sequence[_T], *, workers: int
@@ -634,7 +633,7 @@ def parallel_map(
 
     ``fn`` and every item must be picklable (module-level functions,
     plain dataclasses).  ``workers <= 1`` degrades to an in-process
-    loop, so callers can thread a ``--parallel N`` flag straight
+    loop, so callers can pass a ``parallel`` count straight
     through.  Note the pool has no crash isolation — a dying worker
     aborts the whole map; use :func:`run_fleet` when tasks may fail.
     """

@@ -2,18 +2,19 @@
 
 Used by the CLI (``repro-cli fig 3``) and by the benchmark suite's
 parametrization, so the list of reproducible figures lives in exactly
-one place.  The fleet executor's task grid
-(:class:`FleetTask` / :func:`fleet_grid`) also lives here: a fleet is
-just the paper's scenario × seed × rate evaluation grid written down
-as data, and the registry is where grid-shaped experiment metadata
-belongs.
+one place.  The fleet executor's scenario table
+(:data:`FLEET_SCENARIOS`) and task grid (:class:`FleetTask` /
+:func:`fleet_grid`) also live here: a fleet is just the paper's
+scenario × seed × rate evaluation grid written down as data, and the
+registry is where grid-shaped experiment metadata belongs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.baselines.queue_order import FCFS
 from repro.chaos import (
     DisturbanceSchedule,
     arrival_burst,
@@ -22,6 +23,7 @@ from repro.chaos import (
     misestimate,
 )
 from repro.config import SimulationConfig
+from repro.core.ge import make_be, make_ge, make_oq
 from repro.experiments import (
     fig01_aes_fraction,
     fig02_job_cutting,
@@ -36,13 +38,17 @@ from repro.experiments import (
     fig11_core_count,
     fig12_discrete_speed,
 )
+from repro.experiments.fig12_discrete_speed import DEFAULT_LADDER
 from repro.experiments.report import FigureResult
+from repro.experiments.runner import SchedulerFactory, scaled_config
 
 __all__ = [
     "CHAOS_SCENARIOS",
     "ChaosScenario",
     "FIGURES",
+    "FLEET_SCENARIOS",
     "FigureSpec",
+    "FleetScenario",
     "FleetTask",
     "chaos_config",
     "fleet_grid",
@@ -59,11 +65,43 @@ INJECT_MODES = (None, "raise", "exit")
 
 
 @dataclass(frozen=True)
+class FleetScenario:
+    """One named fleet scenario: a scheduler on the scaled paper config."""
+
+    factory: SchedulerFactory
+    arrival_rate: float
+    discrete_levels: Optional[Tuple[float, ...]] = None
+
+    def config(self, scale: float, seed: int) -> SimulationConfig:
+        """The scenario's configuration at ``scale`` × 600 s and ``seed``."""
+        return scaled_config(
+            scale, seed,
+            arrival_rate=self.arrival_rate,
+            discrete_levels=self.discrete_levels,
+        )
+
+
+#: The fleet's scenario table.  The scenarios cover the distinct hot
+#: paths: ES vs WF power distribution (light vs heavy load), AES
+#: cutting vs permanent BQ (GE vs BE), compensation off (OQ), the
+#: discrete-DVFS planner arm, and the non-GE harness path (FCFS).
+FLEET_SCENARIOS: Dict[str, FleetScenario] = {
+    "ge_light": FleetScenario(make_ge, 100.0),
+    "ge_nominal": FleetScenario(make_ge, 150.0),
+    "ge_heavy": FleetScenario(make_ge, 250.0),
+    "be_nominal": FleetScenario(make_be, 150.0),
+    "oq_nominal": FleetScenario(make_oq, 150.0),
+    "ge_discrete": FleetScenario(make_ge, 150.0, DEFAULT_LADDER),
+    "fcfs_nominal": FleetScenario(FCFS, 150.0),
+}
+
+
+@dataclass(frozen=True)
 class FleetTask:
     """One cell of the evaluation grid: scenario × seed × optional rate.
 
-    Scenarios are the bench suite's named configurations
-    (:data:`repro.experiments.bench.SUITE`); ``rate`` overrides the
+    Scenarios are the named configurations of
+    :data:`FLEET_SCENARIOS`; ``rate`` overrides the
     scenario's arrival rate when set (the Figs. 3–12 rate-sweep axis),
     and ``scale`` shrinks the horizon exactly like ``scaled_config``.
     The task is pure data — frozen, hashable, picklable — because the
@@ -104,20 +142,18 @@ def fleet_grid(
     The order is deterministic (scenarios outer, seeds middle, rates
     inner — matching ``sweep_rates``'s iteration shape) so grid ids
     and fleet summaries are reproducible.  Scenario names are
-    validated against the bench suite up front: a fleet should fail
-    before spawning workers, not inside one.
+    validated against :data:`FLEET_SCENARIOS` up front: a fleet should
+    fail before spawning workers, not inside one.
     """
-    from repro.experiments.bench import SUITE  # local: avoid import cycle
-
     if not scenarios:
         raise ValueError("fleet_grid needs at least one scenario")
     if not seeds:
         raise ValueError("fleet_grid needs at least one seed")
-    unknown = sorted({name for name in scenarios if name not in SUITE})
+    unknown = sorted({name for name in scenarios if name not in FLEET_SCENARIOS})
     if unknown:
         raise KeyError(
             f"unknown scenario(s): {', '.join(unknown)}; "
-            f"available: {', '.join(SUITE)}"
+            f"available: {', '.join(FLEET_SCENARIOS)}"
         )
     rate_axis: List[Optional[float]] = (
         [None] if rates is None else [float(r) for r in rates]
@@ -292,7 +328,5 @@ def chaos_config(
     machine and seed, differing only in the schedule (and therefore in
     the config fingerprint).
     """
-    from repro.experiments.runner import scaled_config  # local: avoid cycle
-
     cfg = scaled_config(scale, seed, arrival_rate=scenario.arrival_rate)
     return cfg.with_overrides(disturbances=scenario.schedule(cfg.horizon))

@@ -87,8 +87,8 @@ class PhaseProfiler:
     registry:
         The metrics registry to publish into.  A :class:`repro.obs.Tracer`
         passes its own registry so phase timers export alongside the
-        simulation metrics; standalone use (the bench harness) may omit
-        it to get a private registry.
+        simulation metrics; standalone use may omit it to get a private
+        registry.
     """
 
     enabled = True

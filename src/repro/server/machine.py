@@ -24,6 +24,7 @@ from repro.power.dvfs import ContinuousSpeedScale, SpeedScale
 from repro.power.models import PowerModel
 from repro.server.core import Core
 from repro.sim.engine import Simulator
+from repro.sim.timeline import StepTimeline
 from repro.units import Gigahertz, Joules, PowerBudget, Seconds, Speed, Volume, Watts
 from repro.workload.job import Job
 
@@ -68,6 +69,8 @@ class MulticoreServer:
         self.sim = sim
         self.m = int(m)
         self.budget = float(budget)
+        #: H over time; ``budget`` is the value in force now.
+        self.budget_timeline = StepTimeline(start_time=sim.now, initial_value=self.budget)
         self.model = model or PowerModel()
         self.scale = scale or ContinuousSpeedScale(self.model)
         # Per-core models/scales: identical to the reference pair unless
@@ -111,11 +114,14 @@ class MulticoreServer:
 
         The new value takes effect at the next power distribution; the
         caller (the chaos injector) is responsible for triggering a
-        reschedule so caps shrink at the same instant.
+        reschedule so caps shrink at the same instant.  The change is
+        recorded in :attr:`budget_timeline` at the current simulated
+        time, so audits compare power with the ``H`` then in force.
         """
         if budget <= 0:
             raise ConfigurationError(f"power budget must be positive, got {budget!r}")
         self.budget = float(budget)
+        self.budget_timeline.set_value(self.sim.now, self.budget)
 
     # ------------------------------------------------------------------
     # Capacity figures

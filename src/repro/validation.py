@@ -5,7 +5,8 @@
 per-core speed timelines and the job records), independently of the
 bookkeeping the run itself maintained:
 
-1. **Power budget** — at *every instant*, Σ_i P_i(s_i(t)) ≤ H.
+1. **Power budget** — at *every instant*, Σ_i P_i(s_i(t)) ≤ H(t), the
+   budget in force at that instant (chaos dips change H mid-run).
 2. **Speed legality** — every executed speed is allowed by the core's
    speed scale (on the DVFS ladder when discrete).
 3. **Volume conservation** — Σ processed volumes equals the volume the
@@ -29,6 +30,7 @@ import numpy as np
 
 from repro.power.dvfs import DiscreteSpeedScale
 from repro.server.harness import SimulationHarness
+from repro.sim.timeline import StepTimeline
 from repro.workload.job import Job
 
 __all__ = ["ValidationReport", "validate_run"]
@@ -79,27 +81,34 @@ def validate_run(
     end = harness.sim.now
 
     # 1-2. Power budget at every instant + speed legality -----------------
-    # Vectorized over the merged breakpoints (paper-scale runs have
-    # millions; one searchsorted per core instead of a Python loop).
+    # Vectorized over the merged breakpoints of the speed and budget
+    # timelines (paper-scale runs have millions; one searchsorted per
+    # timeline instead of a Python loop).
+    budget = machine.budget_timeline
     merged = np.unique(
         np.concatenate(
             [np.asarray(core.speed_timeline._times) for core in machine.cores]
-            + [np.array([0.0])]
+            + [np.asarray(budget._times), np.array([0.0])]
         )
     )
     merged = merged[merged < end]
+
+    def value_at(timeline: StepTimeline) -> np.ndarray:
+        times = np.asarray(timeline._times)
+        values = np.asarray(timeline._values)
+        idx = np.clip(np.searchsorted(times, merged, side="right") - 1, 0, values.size - 1)
+        return values[idx]
+
     power_at = np.zeros(merged.size)
     for core, model in zip(machine.cores, machine.models):
-        times = np.asarray(core.speed_timeline._times)
-        values = np.asarray(core.speed_timeline._values)
-        idx = np.clip(np.searchsorted(times, merged, side="right") - 1, 0, values.size - 1)
-        power_at += np.asarray(model.power(values[idx]), dtype=float)
+        power_at += np.asarray(model.power(value_at(core.speed_timeline)), dtype=float)
+    budget_at = value_at(budget)
     if power_at.size:
         report.peak_power = float(np.max(power_at))
-        over = np.nonzero(power_at > machine.budget * (1.0 + _POWER_TOL))[0]
+        over = np.nonzero(power_at > budget_at * (1.0 + _POWER_TOL))[0]
         for i in over[:20]:  # cap the report length
             report.violations.append(
-                f"power {power_at[i]:.3f} W exceeds budget {machine.budget} W "
+                f"power {power_at[i]:.3f} W exceeds budget {budget_at[i]} W "
                 f"at t={merged[i]:.6f}"
             )
     for core, scale in zip(machine.cores, machine.scales):

@@ -33,6 +33,12 @@ def run_mixed(**kwargs):
     return harness, harness.run()
 
 
+@pytest.fixture(scope="module")
+def mixed_run():
+    """One mixed-class GE run shared by the pipeline tests below."""
+    return run_mixed()
+
+
 class TestWorkloadStamping:
     def test_fractions_respected(self):
         wl = mixed_workload((0.25, 0.75))
@@ -76,20 +82,20 @@ class TestMonitor:
 
 
 class TestScheduler:
-    def test_meets_mixed_target(self):
-        _, result = run_mixed()
+    def test_meets_mixed_target(self, mixed_run):
+        _, result = mixed_run
         assert result.quality == pytest.approx(0.9, abs=0.02)
         assert sum(result.outcomes.values()) == result.jobs
 
-    def test_passes_physical_audit(self):
-        harness, _ = run_mixed()
+    def test_passes_physical_audit(self, mixed_run):
+        harness, _ = mixed_run
         validate_run(harness).raise_if_failed()
 
-    def test_beats_class_blind_ge(self):
+    def test_beats_class_blind_ge(self, mixed_run):
         """Class-blind GE cannot target the true mixed aggregate: it
         either over-delivers (wasting energy) or undershoots.  The
         class-aware scheduler lands on target with no more energy."""
-        _, aware = run_mixed()
+        _, aware = mixed_run
         blind_harness = SimulationHarness(
             CFG, make_ge(), workload=mixed_workload(),
             monitor=ClassAwareMonitor(FUNCTIONS),
@@ -107,7 +113,7 @@ class TestScheduler:
         with pytest.raises(ConfigurationError):
             MixedGEScheduler([])
 
-    def test_deterministic(self):
-        _, a = run_mixed()
+    def test_deterministic(self, mixed_run):
+        _, a = mixed_run
         _, b = run_mixed()
         assert (a.quality, a.energy) == (b.quality, b.energy)

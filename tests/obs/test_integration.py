@@ -97,6 +97,19 @@ class TestSchedulerEvents:
         assert metrics["scheduler.round_latency_ms"]["count"] == scheduler.reschedules
         assert metrics["scheduler.cut_fraction"]["max"] <= 1.0
 
+    def test_profiler_phases_populated(self, traced_run):
+        _, scheduler, tracer, result = traced_run
+        assert result.scheduler == "GE"
+        assert scheduler.reschedules > 0
+        assert result.jobs == sum(result.outcomes.values())
+        assert 0.0 <= result.quality <= 1.0
+        assert result.energy > 0.0
+        # The profiler was on: the GE hot-path phases are populated.
+        metrics = tracer.to_trace().metrics
+        assert metrics["prof.scheduler.round"]["count"] == scheduler.reschedules
+        for phase in ("cut.lf", "planner.quality_opt", "sim.run"):
+            assert metrics[f"prof.{phase}"]["count"] > 0
+
 
 class TestCoreTimelines:
     def test_samples_at_quantum_boundaries(self, traced_run):

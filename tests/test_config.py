@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -84,6 +85,15 @@ def test_critical_rate_scales_with_capacity():
 def test_invalid_configs_rejected():
     with pytest.raises(ConfigurationError):
         SimulationConfig(arrival_rate=0.0)
+    for field, bad in [
+        ("horizon", math.nan), ("horizon", math.inf), ("horizon", -1.0), ("horizon", 0.0),
+        ("arrival_rate", math.nan), ("arrival_rate", math.inf),
+        ("budget", math.nan), ("budget", math.inf), ("budget", 0.0), ("budget", -1.0),
+        ("quantum", math.nan), ("quantum", math.inf),
+        ("m", 0),
+    ]:
+        with pytest.raises(ConfigurationError, match=field):
+            SimulationConfig(**{field: bad})
     with pytest.raises(ConfigurationError):
         SimulationConfig(q_ge=0.0)
     with pytest.raises(ConfigurationError):

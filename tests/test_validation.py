@@ -6,8 +6,11 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.queue_order import FCFS, FDFS, LJF, SJF
+from repro.chaos import DisturbanceSchedule, budget_dip
+from repro.check.sanitizer import SanitizingTracer
 from repro.config import SimulationConfig
 from repro.core.ge import GEScheduler, make_be, make_ge, make_oq
+from repro.experiments.runner import scaled_config
 from repro.server.harness import SimulationHarness
 from repro.validation import validate_run
 
@@ -78,3 +81,40 @@ def test_report_detects_tampering():
     assert any("processed" in v for v in report.violations)
     with pytest.raises(AssertionError):
         report.raise_if_failed()
+
+
+def _dipped(dip):
+    cfg = scaled_config(0.01, 1, arrival_rate=150.0)
+    return cfg.with_overrides(disturbances=DisturbanceSchedule.of(dip))
+
+
+def test_budget_checked_against_h_before_a_dip():
+    """Power before a dip is judged against the H then in force, not the
+    dipped H still in force when the run ends."""
+    cfg = _dipped(budget_dip(3.0, 0.5, 1e6))
+    scheduler = make_ge()
+    harness = SimulationHarness(
+        cfg, scheduler, tracer=SanitizingTracer.for_run(cfg, scheduler)
+    )
+    harness.run()
+    assert harness.machine.budget == 0.5 * cfg.budget
+    report = validate_run(harness)
+    report.raise_if_failed()
+    assert report.peak_power > 0.5 * cfg.budget
+
+
+class _IgnoresBudget(GEScheduler):
+    def on_budget_change(self, budget):
+        pass
+
+
+def test_overdraw_during_a_dip_is_caught():
+    """A scheduler that ignores a dip overdraws the dipped H, even though
+    H is restored before the run ends."""
+    cfg = _dipped(budget_dip(2.05, 0.5, 1.0))
+    harness = SimulationHarness(cfg, _IgnoresBudget())
+    harness.run()
+    assert harness.machine.budget == cfg.budget
+    report = validate_run(harness)
+    assert not report.ok
+    assert "exceeds budget 160.0 W at t=2.05" in report.violations[0]
