@@ -26,8 +26,8 @@ package enforces them three ways:
 * **the sanitizer** (:mod:`repro.check.sanitizer`) — an opt-in
   :class:`Sanitizer` sink (or :class:`SanitizingTracer`) that rides the
   :mod:`repro.obs` telemetry stream and fails fast the moment a run violates the power-budget,
-  energy-accounting, volume-monotonicity, clock or quality invariants.
-  Enable with ``--sanitize`` on the CLI or ``REPRO_SANITIZE=1``.
+  speed, failed-core, energy, volume, clock or quality invariants; its
+  machine audit is also ``validate_run``'s.  Enable with ``--sanitize``.
 
 ``python -m repro.check gate src/repro`` runs both static passes — the
 default CI gate.  See ``docs/static-analysis.md`` for the catalogue.

@@ -300,8 +300,7 @@ def _add_runs_dir_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_sanitize_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sanitize", action="store_true",
-                        help="assert simulation invariants while running "
-                             "(also enabled by REPRO_SANITIZE=1)")
+                        help="assert simulation invariants while running")
 
 
 def _resolve_scenario(name: str) -> str:
@@ -334,9 +333,8 @@ def _new_tracer_if(active: bool, *, sanitize: bool = False,
     the buffering one, spilling raw records to ``spill`` when given;
     with both, the sanitizer rides next to the stream aggregator.
     """
-    from repro.check.sanitizer import Sanitizer, SanitizingTracer, sanitize_requested
+    from repro.check.sanitizer import Sanitizer, SanitizingTracer
 
-    sanitize = sanitize_requested(sanitize)
     if stream:
         from repro.obs import StreamingTracer
 

@@ -30,7 +30,7 @@ from repro.core.quality_opt import quality_opt
 from repro.obs.prof import NULL_PROFILER, ProfilerLike
 from repro.power.dvfs import DiscreteSpeedScale, SpeedScale
 from repro.power.models import PowerModel
-from repro.units import Gigahertz, Seconds, Speed, Volume, VolumeSeq, Watts
+from repro.units import Gigahertz, Seconds, Speed, VolumeSeq, Watts
 from repro.server.core import Segment
 from repro.workload.job import Job, JobOutcome
 

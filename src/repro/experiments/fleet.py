@@ -45,7 +45,7 @@ import threading
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
-from queue import Empty, Full, Queue
+from queue import Empty, Queue
 from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.errors import ReproError

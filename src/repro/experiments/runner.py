@@ -15,7 +15,7 @@ Conventions used by every figure module:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import SimulationConfig
 from repro.obs.tracer import TracerLike

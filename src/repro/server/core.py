@@ -114,6 +114,8 @@ class Core:
         #: Chaos state: a failed core executes nothing and rejects plans
         #: until :meth:`recover` (see repro.chaos).
         self.failed = False
+        #: ``failed`` over time (1.0 while failed), for the audits.
+        self.failed_timeline = StepTimeline(start_time=sim.now, initial_value=0.0)
         self._pending: List[Segment] = []
         self._current: Optional[Segment] = None
         self._current_started: Seconds = 0.0
@@ -226,12 +228,14 @@ class Core:
                 affected.append(job)
         self._pending = []
         self.failed = True
+        self.failed_timeline.set_value(self.sim.now, 1.0)
         self.speed_timeline.set_value(self.sim.now, 0.0)
         return affected
 
     def recover(self) -> None:
         """Bring a failed core back (idle, empty plan)."""
         self.failed = False
+        self.failed_timeline.set_value(self.sim.now, 0.0)
 
     def abort_job(self, job: Job) -> Volume:
         """Remove ``job`` from the plan; returns the volume it had executed.

@@ -21,7 +21,7 @@ deadline expiries and the quantum trigger.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.chaos.injector import ChaosInjector, InjectorLike, NULL_INJECTOR
 from repro.config import SimulationConfig
@@ -32,7 +32,7 @@ from repro.quality.monitor import QualityMonitor
 from repro.server.machine import MulticoreServer
 from repro.server.scheduler import Scheduler
 from repro.sim.engine import Simulator
-from repro.sim.events import PRIORITY_LOW, PRIORITY_NORMAL
+from repro.sim.events import PRIORITY_LOW
 from repro.workload.generator import Workload
 from repro.workload.job import Job, JobOutcome
 

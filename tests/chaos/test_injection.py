@@ -8,8 +8,10 @@ from repro.chaos import DisturbanceSchedule, arrival_burst, budget_dip, core_fai
 from repro.check.sanitizer import SanitizingTracer
 from repro.config import SimulationConfig
 from repro.core.ge import make_ge
+from repro.experiments.registry import CHAOS_SCENARIOS, chaos_config, get_chaos_scenario
 from repro.obs import Tracer
 from repro.server.harness import SimulationHarness
+from repro.validation import validate_run
 
 
 def _cfg(**overrides):
@@ -120,17 +122,15 @@ class TestBudgetDip:
         assert disturbed.energy < twin.energy or disturbed.quality < twin.quality
 
     def test_sanitizer_clean_across_dip(self):
-        # The power-budget invariant follows the *current* H: a dip to
-        # 0.5·H re-arms the sanitizer bound, and the GE redistribution
-        # keeps every quantum inside it.
+        # The sanitizer reads H from the machine's budget timeline, and
+        # the GE redistribution keeps every instant of the dip inside
+        # 0.5·H.
         cfg = _cfg(disturbances=DIP)
         scheduler = make_ge()
         tracer = SanitizingTracer.for_run(cfg, scheduler)
         result = SimulationHarness(cfg, scheduler, tracer=tracer).run()
         assert result == _run(cfg)
         assert tracer.checks_run > 0
-        # The dip and its restore both updated the tracked budget.
-        assert tracer.budget == pytest.approx(cfg.budget)
 
     def test_overlapping_dips_compose(self):
         sched = DisturbanceSchedule.of(
@@ -139,8 +139,9 @@ class TestBudgetDip:
         cfg = _cfg(disturbances=sched)
         scheduler = make_ge()
         tracer = SanitizingTracer.for_run(cfg, scheduler)
-        SimulationHarness(cfg, scheduler, tracer=tracer).run()
-        assert tracer.budget == pytest.approx(cfg.budget)
+        harness = SimulationHarness(cfg, scheduler, tracer=tracer)
+        harness.run()
+        assert harness.machine.budget == pytest.approx(cfg.budget)
 
 
 class TestWorkloadDisturbances:
@@ -181,3 +182,15 @@ class TestWorkloadDisturbances:
         x_max = cfg.demand_distribution().x_max
         for job in cfg.workload().materialize():
             assert job.demand <= x_max + 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(CHAOS_SCENARIOS))
+def test_catalog_scenario_passes_both_checkers(name):
+    """Power within the live H, failed cores idle, speeds allowed, volume
+    and settlement exact: online (sanitizer) and post hoc (validate_run)."""
+    cfg = chaos_config(get_chaos_scenario(name), scale=0.02, seed=1)
+    scheduler = make_ge()
+    tracer = SanitizingTracer.for_run(cfg, scheduler)
+    harness = SimulationHarness(cfg, scheduler, tracer=tracer)
+    harness.run()
+    validate_run(harness).raise_if_failed()

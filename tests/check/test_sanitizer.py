@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check.sanitizer import (
-    SanitizerViolation,
-    SanitizingTracer,
-    sanitize_requested,
-)
+from repro.check.sanitizer import SanitizerViolation, SanitizingTracer, audit_machine
 from repro.config import SimulationConfig
 from repro.core.ge import GEScheduler, make_ge
+from repro.power.dvfs import DiscreteSpeedScale
+from repro.power.models import PowerModel
 from repro.server.core import Segment
 from repro.server.harness import SimulationHarness
+from repro.server.machine import MulticoreServer
 from repro.server.scheduler import Scheduler
+from repro.sim.engine import Simulator
 from repro.workload.job import Job
 
 
@@ -21,27 +21,11 @@ def make_job(jid=1, arrival=0.0, deadline=10.0, demand=100.0) -> Job:
     return Job(jid=jid, arrival=arrival, deadline=deadline, demand=demand)
 
 
-class TestSanitizeRequested:
-    def test_flag_wins(self):
-        assert sanitize_requested(True)
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert sanitize_requested(False)
-        monkeypatch.setenv("REPRO_SANITIZE", "off")
-        assert not sanitize_requested(False)
-
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert not sanitize_requested(False)
-
-
 class TestForRun:
     def test_ge_arms_quality_floor(self):
         config = SimulationConfig(horizon=1.0)
         tracer = SanitizingTracer.for_run(config, make_ge())
         assert tracer.q_floor == config.q_ge
-        assert tracer.budget == config.budget
 
     def test_uncompensated_scheduler_disarms_floor(self):
         config = SimulationConfig(horizon=1.0)
@@ -172,17 +156,22 @@ class _OverBudgetScheduler(Scheduler):
 
 
 class TestEndToEndTrip:
-    def test_over_budget_plan_trips_power_check(self):
-        # 2 cores × 80 W against H = 40 W: the first quantum sample fails.
+    @pytest.mark.parametrize("quantum", [0.5, None])
+    def test_over_budget_plan_trips_power_check(self, quantum):
+        # Each busy core draws 80 W against H = 40 W.  The breach is
+        # named at the instant it starts, with or without a quantum.
         config = SimulationConfig(
             arrival_rate=80.0, horizon=4.0, seed=5, m=2, budget=40.0
         )
         scheduler = _OverBudgetScheduler()
+        scheduler.quantum = quantum
         tracer = SanitizingTracer.for_run(config, scheduler)
         with pytest.raises(SanitizerViolation) as err:
             SimulationHarness(config, scheduler, tracer=tracer).run()
         assert err.value.invariant == "power_budget"
         assert err.value.context["total_power"] > 40.0
+        assert err.value.context["budget"] == 40.0
+        assert err.value.context["time"] == pytest.approx(0.012527, abs=1e-6)
 
     def test_same_plan_passes_with_roomy_budget(self):
         config = SimulationConfig(
@@ -272,3 +261,27 @@ class TestCapDriftTrip:
         tracer = SanitizingTracer.for_run(self._config(), scheduler)
         SimulationHarness(self._config(), scheduler, tracer=tracer).run()
         assert tracer.checks_run > 0
+
+
+class TestAuditMachine:
+    def test_failed_core_drawing_power_is_flagged(self):
+        server = MulticoreServer(Simulator(), m=2, budget=40.0)
+        server.cores[0].speed_timeline.set_value(0.0, 1.0)
+        server.cores[0].failed_timeline.set_value(0.5, 1.0)
+        (violation,) = audit_machine(server, 0.0, 1.0).violations
+        assert violation.invariant == "failed_core_idle"
+        assert (violation.context["time"], violation.context["core"]) == (0.5, 0)
+        # Windows are right-open: the breach belongs to the next one.
+        assert audit_machine(server, 0.0, 0.5).violations == []
+
+    def test_speed_off_the_ladder_is_flagged(self):
+        ladder = DiscreteSpeedScale(PowerModel(), levels=[1.0, 2.0])
+        server = MulticoreServer(Simulator(), m=2, budget=40.0, scale=ladder)
+        server.cores[0].speed_timeline.set_value(0.0, 1.0)
+        server.cores[1].speed_timeline.set_value(0.25, 1.5)
+        audit = audit_machine(server, 0.0, 1.0)
+        (violation,) = audit.violations
+        assert violation.invariant == "speed_allowed"
+        assert (violation.context["time"], violation.context["core"]) == (0.25, 1)
+        assert audit.peak_power == pytest.approx(5.0 + 5.0 * 1.5**2)
+        assert audit.segments == 3

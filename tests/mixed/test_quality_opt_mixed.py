@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.quality_opt import prefix_feasible, quality_opt
 from repro.mixed.quality_opt import quality_opt_mixed
-from repro.quality.functions import ExponentialQuality, LinearQuality
+from repro.quality.functions import ExponentialQuality
 
 F_A = ExponentialQuality(c=0.003, x_max=1000.0)
 F_B = ExponentialQuality(c=0.0009, x_max=1000.0)

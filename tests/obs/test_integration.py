@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SimulationConfig
-from repro.core.ge import GEScheduler, make_ge
+from repro.core.ge import make_ge
 from repro.obs import Tracer, read_jsonl, write_jsonl
 from repro.server.harness import SimulationHarness
 

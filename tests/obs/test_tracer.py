@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.workload.job import Job, JobOutcome
 

@@ -12,7 +12,6 @@ the invariants that must hold for *any* input:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st

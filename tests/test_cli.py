@@ -201,12 +201,6 @@ def test_run_with_sanitize_flag(capsys):
     assert "sanitizer:" in out and "checks passed" in out
 
 
-def test_sanitize_env_variable(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    assert main(["run", "--scheduler", "GE", "--rate", "100", "--horizon", "2"]) == 0
-    assert "checks passed" in capsys.readouterr().out
-
-
 def test_scenario_with_sanitize(capsys):
     assert main(["scenario", "websearch", "--horizon", "2", "--sanitize"]) == 0
     assert "checks passed" in capsys.readouterr().out

@@ -9,7 +9,6 @@ suite and CI docs cover running them for real.
 from __future__ import annotations
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest

@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines.queue_order import FCFS, FDFS, LJF, SJF
 from repro.chaos import DisturbanceSchedule, budget_dip
-from repro.check.sanitizer import SanitizingTracer
+from repro.check.sanitizer import SanitizerViolation, SanitizingTracer
 from repro.config import SimulationConfig
 from repro.core.ge import GEScheduler, make_be, make_ge, make_oq
 from repro.experiments.runner import scaled_config
@@ -30,7 +30,9 @@ ALL_POLICIES = {
 @pytest.mark.parametrize("name", sorted(ALL_POLICIES))
 def test_every_policy_passes_physical_audit(name):
     cfg = SimulationConfig(arrival_rate=140.0, horizon=4.0, seed=5)
-    harness = SimulationHarness(cfg, ALL_POLICIES[name]())
+    scheduler = ALL_POLICIES[name]()
+    tracer = SanitizingTracer.for_run(cfg, scheduler)
+    harness = SimulationHarness(cfg, scheduler, tracer=tracer)
     harness.run()
     report = validate_run(harness)
     report.raise_if_failed()
@@ -74,9 +76,9 @@ def test_report_detects_tampering():
     cfg = SimulationConfig(arrival_rate=120.0, horizon=2.0, seed=5)
     harness = SimulationHarness(cfg, make_ge())
     harness.run()
-    jobs = harness._workload.materialize()
-    jobs[0].processed = jobs[0].demand * 2  # corrupt a record
-    report = validate_run(harness, jobs=jobs)
+    job = harness._workload.materialize()[0]
+    job.processed = job.demand * 2  # corrupt a record
+    report = validate_run(harness)
     assert not report.ok
     assert any("processed" in v for v in report.violations)
     with pytest.raises(AssertionError):
@@ -118,3 +120,12 @@ def test_overdraw_during_a_dip_is_caught():
     report = validate_run(harness)
     assert not report.ok
     assert "exceeds budget 160.0 W at t=2.05" in report.violations[0]
+    # The sanitizer names the same instant while the run is going, before
+    # the next quantum sample and against the live H.
+    scheduler = _IgnoresBudget()
+    tracer = SanitizingTracer.for_run(cfg, scheduler)
+    with pytest.raises(SanitizerViolation) as err:
+        SimulationHarness(cfg, scheduler, tracer=tracer).run()
+    assert err.value.invariant == "power_budget"
+    assert err.value.context["time"] == pytest.approx(2.05)
+    assert err.value.context["budget"] == 160.0
