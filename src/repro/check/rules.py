@@ -133,11 +133,6 @@ _DETERMINISTIC = (
 #:   with a wall-clock ``created_unix`` so humans can order store
 #:   entries; the stamp is storage metadata, applied after the run
 #:   finished, and never enters simulated time.
-#: * ``repro.obs.bus`` — the fleet telemetry bus stamps messages with
-#:   ``sent_unix`` and tracks worker liveness (heartbeat staleness)
-#:   against the host clock; both are fleet-orchestration metadata
-#:   about *processes*, never about simulated time, and nothing in the
-#:   simulator reads them back.
 #:
 #: Code elsewhere must route timing through a
 #: :class:`repro.obs.prof.PhaseProfiler` instead of reading the clock —
@@ -147,7 +142,7 @@ _DETERMINISTIC = (
 #: exempt: windowing and SLO evaluation are over simulated seconds
 #: only.  Documented in ``docs/static-analysis.md``.
 SIM001_MODULE_ALLOWLIST: FrozenSet[str] = frozenset(
-    {"repro.obs.prof", "repro.obs.runs", "repro.obs.bus"}
+    {"repro.obs.prof", "repro.obs.runs"}
 )
 
 _WALL_CLOCK: FrozenSet[str] = frozenset(
@@ -387,25 +382,21 @@ def _layer_of(module: str) -> Optional[str]:
     return parts[1]
 
 
-#: The fleet-orchestration modules: process fan-out and the telemetry
-#: bus.  Confined on *both* sides — only the top-of-stack layers listed
-#: in :data:`_FLEET_IMPORTERS` may import them (the deterministic
-#: simulator must never grow a dependency on process orchestration),
-#: and they are the only modules allowed to import ``multiprocessing``
-#: at all (a stray Pool in a lower layer would fork the simulator's
-#: state and silently break per-seed reproducibility).
-_FLEET_MODULES: FrozenSet[str] = frozenset(
-    {"repro.obs.bus", "repro.experiments.fleet"}
-)
+#: The fleet-orchestration module: process fan-out.  Confined on
+#: *both* sides — only the top-of-stack layers listed in
+#: :data:`_FLEET_IMPORTERS` may import it (the deterministic simulator
+#: must never grow a dependency on process orchestration), and it is
+#: the only module allowed to import ``multiprocessing`` at all (a
+#: stray Pool in a lower layer would fork the simulator's state and
+#: silently break per-seed reproducibility).
+_FLEET_MODULES: FrozenSet[str] = frozenset({"repro.experiments.fleet"})
 
-#: Module prefixes allowed to import the fleet modules (besides the
-#: fleet modules themselves): the experiment drivers and the CLI.
+#: Module prefixes allowed to import the fleet module: the experiment
+#: drivers (the fleet module among them) and the CLI.
 _FLEET_IMPORTERS = ("repro.experiments", "repro.cli")
 
 
 def _may_import_fleet(module: str) -> bool:
-    if module in _FLEET_MODULES:
-        return True
     return any(
         module == prefix or module.startswith(prefix + ".")
         for prefix in _FLEET_IMPORTERS
@@ -416,9 +407,9 @@ def _fleet_imports(ctx: ModuleContext) -> Iterable[tuple[ast.AST, str]]:
     """Import nodes pulling in a fleet module, via any spelling.
 
     Catches ``import repro.experiments.fleet``, ``from
-    repro.experiments.fleet import X`` *and* ``from repro.obs import
-    bus`` — the last resolves the submodule through the alias path the
-    plain layering walk treats as a ``repro.obs`` edge.
+    repro.experiments.fleet import X`` *and* ``from repro.experiments
+    import fleet`` — the last resolves the submodule through the alias
+    path the plain layering walk treats as a ``repro.experiments`` edge.
     """
     package_parts = ctx.module.split(".")[:-1]
     guarded = _type_checking_imports(ctx.tree)
@@ -499,9 +490,8 @@ def _check_fleet_confinement(ctx: ModuleContext) -> Iterable[Finding]:
                 "SIM004",
                 node,
                 f"fleet confinement: `{ctx.module}` must not import "
-                f"`{imported}`; only the fleet modules themselves, "
-                "`repro.experiments.*` and `repro.cli` may depend on "
-                "process orchestration",
+                f"`{imported}`; only `repro.experiments.*` and "
+                "`repro.cli` may depend on process orchestration",
             )
     if ctx.module not in _FLEET_MODULES:
         for node in _multiprocessing_imports(ctx):
@@ -509,9 +499,8 @@ def _check_fleet_confinement(ctx: ModuleContext) -> Iterable[Finding]:
                 "SIM004",
                 node,
                 f"`{ctx.module}` imports `multiprocessing`; process "
-                "fan-out is confined to repro.obs.bus and "
-                "repro.experiments.fleet so the simulator stays a pure "
-                "function of (config, seed)",
+                "fan-out is confined to repro.experiments.fleet so the "
+                "simulator stays a pure function of (config, seed)",
             )
 
 
@@ -908,9 +897,8 @@ RULES: List[Rule] = [
             "repro.obs import-light, so tracing can never perturb what it "
             "observes (bit-identical traced runs). The fleet half of the "
             "rule confines process orchestration: only repro.experiments.* "
-            "and repro.cli may import repro.obs.bus / "
-            "repro.experiments.fleet, and only those two fleet modules may "
-            "import multiprocessing at all."
+            "and repro.cli may import repro.experiments.fleet, and only "
+            "that module may import multiprocessing at all."
         ),
         applies=_always,
         check=_check_layering,

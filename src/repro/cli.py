@@ -149,8 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="run an experiment grid across worker processes with a "
-             "telemetry bus and fleet rollups",
+        help="run an experiment grid across worker processes and roll "
+             "up the results",
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
     fleet_run = fleet_sub.add_parser(
@@ -167,10 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--scale", type=float, default=0.02,
                            help="horizon scale per task (default 0.02 ≈ 12 s)")
     fleet_run.add_argument("--workers", type=int, default=2,
-                           help="worker processes (spawn start method)")
-    fleet_run.add_argument("--sequential", action="store_true",
-                           help="run in-process, one task at a time "
-                                "(the determinism reference)")
+                           help="worker processes (spawn start method); 1 "
+                                "runs the tasks in-process, one at a time")
     fleet_run.add_argument("--no-store", action="store_true",
                            help="do not persist summaries into the run registry")
     fleet_run.add_argument("--report", metavar="PATH", default=None,
@@ -625,11 +623,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.obs.runs import FLEET_SCHEMA, RunStore, format_fleet
 
         if args.fleet_command == "run":
-            from repro.experiments.fleet import (
-                fleet_compliance,
-                run_fleet,
-                run_sequential,
-            )
+            from repro.experiments.fleet import fleet_compliance, run_fleet
             from repro.experiments.registry import fleet_grid
 
             scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
@@ -643,15 +637,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 2
             store = not args.no_store
             try:
-                if args.sequential or args.workers <= 1:
-                    outcome = run_sequential(
-                        tasks, runs_dir=args.runs_dir, store=store, progress=print
-                    )
-                else:
-                    outcome = run_fleet(
-                        tasks, workers=args.workers, runs_dir=args.runs_dir,
-                        store=store, progress=print,
-                    )
+                outcome = run_fleet(
+                    tasks, workers=args.workers, runs_dir=args.runs_dir,
+                    store=store, progress=print,
+                )
             except KeyboardInterrupt:
                 print("fleet: interrupted")
                 return 130

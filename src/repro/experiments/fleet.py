@@ -4,162 +4,94 @@ The paper's evaluation is a grid — schedulers × arrival rates × seeds —
 and this module runs that grid as a *fleet* instead of a for-loop.  A
 :class:`~repro.experiments.registry.FleetTask` names one grid cell
 (fleet scenario × seed × optional rate override); :func:`run_fleet`
-fans a task list across spawn-context worker processes, each of which
-runs its cell under a :class:`~repro.obs.stream.StreamingTracer` whose
-extra bus sink ships ``repro.bus/1`` telemetry (see
-:mod:`repro.obs.bus`) back over a bounded queue.  A central aggregator
-thread folds the stream into fleet-level rollups and the finished fleet
-lands in the :class:`~repro.obs.runs.RunStore` — one ``repro.run/1``
-summary per task plus one ``repro.fleet/1`` rollup document.
+hands the cells one at a time to spawn-context worker processes over
+one pipe per worker, and each worker answers each task with exactly one
+message: the task's result payload or its error record.  The finished
+fleet lands in the :class:`~repro.obs.runs.RunStore` — one
+``repro.run/1`` summary per task plus one ``repro.fleet/1`` rollup
+document, a pure function of the per-task results
+(:func:`fleet_rollup`).
 
 Two guarantees make the fleet load-bearing rather than decorative:
 
 **Determinism.**  :func:`execute_task` is the single execution path
-for both the parallel and the sequential mode, and a simulation run is
-a pure function of (config, seed) — workers share nothing and the bus
-only carries results *out*.  Per-task ``RunResult`` payloads from a
-parallel fleet are therefore bit-identical to :func:`run_sequential`
-on the same grid (pickling a float preserves its bits), pinned by
-``tests/experiments/test_fleet.py``.
+for worker processes and for ``workers=1`` (which runs in-process), and
+a simulation run is a pure function of (config, seed) — workers share
+nothing and the pipe only carries tasks in and results out.  Per-task
+``RunResult`` payloads from a parallel fleet are therefore
+bit-identical to an in-process fleet on the same grid (pickling a float
+preserves its bits), pinned by ``tests/experiments/test_fleet.py``.
 
-**Crash isolation.**  A worker that raises ships a structured
-``error`` message (exception, traceback, task spec); a worker that
-*dies* (killed, ``os._exit``) is detected by the parent's process
-watch and synthesized into an error record naming the task it was
-running — either way the rest of the fleet completes and the fleet's
+**Crash isolation.**  A task that raises becomes an ``exception``
+record and the worker moves on to its next task.  A worker that *dies*
+(killed, ``os._exit``) closes its pipe end; the parent reads that end
+of file only after everything the worker sent, so exactly the task it
+handed out and never got an answer for becomes a ``worker-death``
+record.  Tasks left over when no worker survives become ``unrun``
+records — either way the rest of the fleet completes and the fleet's
 exit code reflects the failures.
 
-This module is, with :mod:`repro.obs.bus`, the sanctioned home for
-``multiprocessing`` (and host wall-clock reads for worker liveness):
-sim-lint's SIM004 fleet-confinement check keeps both out of the
-deterministic layers.  Worker entry points (:func:`_worker_main`,
-:func:`_sweep_cell` …) are module-level functions because the spawn
-start method pickles them by qualified name.
+This module is the sanctioned home for ``multiprocessing``: sim-lint's
+SIM004 fleet-confinement check keeps it out of every other module.  The
+worker entry point :func:`_worker_main` is a module-level function
+because the spawn start method pickles it by qualified name.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import asdict, dataclass, field
-from queue import Empty, Queue
-from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 from repro.errors import ReproError
 from repro.experiments.registry import FLEET_SCENARIOS, FleetTask
-from repro.obs.bus import BusSender, FleetAggregator
 from repro.obs.runs import FLEET_SCHEMA, RunStore, make_summary
-from repro.obs.spans import EventRecord
-from repro.obs.stream import StreamAggregator, StreamingTracer
-from repro.obs.timeline import TimelineSample
-from repro.obs.tracer import Sink
+from repro.obs.stream import StreamingTracer
 from repro.server.harness import SimulationHarness
-from repro.units import Seconds
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.context import SpawnProcess
 
 __all__ = [
-    "DEFAULT_QUEUE_SIZE",
-    "SNAPSHOT_EVERY",
     "FleetResult",
+    "cross_run_quantiles",
     "execute_task",
     "fleet_compliance",
+    "fleet_rollup",
     "fleet_run_id",
-    "parallel_map",
     "run_fleet",
-    "run_sequential",
 ]
 
-#: Bound on the telemetry queue.  Small enough that a runaway worker
-#: cannot exhaust parent memory; drops past it are counted, not silent.
-DEFAULT_QUEUE_SIZE = 1024
-
-#: A droppable windowed-snapshot message every this many sample batches
-#: (quantum boundaries) — the live view's refresh cadence.
-SNAPSHOT_EVERY = 50
-
-#: Wall seconds without any message from a live worker before the
-#: heartbeat watchdog reports it as stale (slow, not yet dead).
-DEFAULT_HEARTBEAT_TIMEOUT_S = 30.0
-
-#: Grace before ``os._exit`` on an ``inject="exit"`` task: lets the
-#: queue's feeder thread flush the reliable task-start message, so the
-#: parent can attribute the death to the task that was running.
-_EXIT_FLUSH_S = 0.5
-
-_T = TypeVar("_T")
-_U = TypeVar("_U")
+#: A worker's answer to one task: ``("result", payload)`` or
+#: ``("error", {"exception": ..., "traceback": ...})``.
+_Answer = Tuple[str, Dict[str, Any]]
 
 
 # ----------------------------------------------------------------------
 # Task execution (shared by every mode — the determinism anchor)
 # ----------------------------------------------------------------------
-class _BusSink(Sink):
-    """Ships live telemetry of one task over the bus.
+def execute_task(task: FleetTask) -> Dict[str, Any]:
+    """Run one grid cell under a streaming tracer; returns its payload.
 
-    Rides after the task's :class:`StreamAggregator` in the tracer's
-    sinks and only *reads* its state, so the folded telemetry — and
-    the RunResult — stay bit-identical to an un-bussed run.  Every
-    ``snapshot_every`` sample batches it sends a droppable windowed
-    snapshot, and it forwards each ``slo_violation`` event.
-    """
-
-    def __init__(
-        self,
-        sender: BusSender,
-        task_key: str,
-        aggregator: StreamAggregator,
-        snapshot_every: int = SNAPSHOT_EVERY,
-    ) -> None:
-        self._sender = sender
-        self._task_key = task_key
-        self._aggregator = aggregator
-        self._snapshot_every = snapshot_every
-        self._batches = 0
-
-    def on_sample_batch(
-        self, time: Seconds, samples: List[TimelineSample], machine: Any = None
-    ) -> None:
-        self._batches += 1
-        if self._snapshot_every > 0 and self._batches % self._snapshot_every == 0:
-            windows: Dict[str, Any] = {}
-            for name in ("quality", "power_total_w"):
-                series = self._aggregator.series.get(name)
-                if series is not None and series.rows:
-                    windows[name] = dict(series.rows[-1])
-            self._sender.send(
-                "snapshot",
-                task=self._task_key,
-                payload={
-                    "t": float(time),
-                    "windows": windows,
-                    "record_counts": dict(self._aggregator.record_counts),
-                },
-            )
-
-    def on_event(self, event: EventRecord) -> None:
-        if event.kind == "slo_violation":  # attrs: slo, value, threshold
-            self._sender.send(
-                "slo_violation",
-                task=self._task_key,
-                payload={"time": event.time, **event.attrs},
-            )
-
-
-def execute_task(
-    task: FleetTask,
-    *,
-    sender: Optional[BusSender] = None,
-    snapshot_every: int = SNAPSHOT_EVERY,
-) -> Dict[str, Any]:
-    """Run one grid cell; returns its result payload.
-
-    This is the one execution path shared by workers and the
-    sequential mode, which is what makes parallel-vs-sequential
-    bit-identity hold by construction.  With a ``sender`` the run
-    ships live snapshot/violation telemetry (droppable, observation
-    only); without one it runs under a plain streaming tracer.
+    This is the one execution path shared by worker processes and the
+    in-process ``workers=1`` fleet, which is what makes the
+    parallel-vs-in-process bit-identity hold by construction.
 
     The payload is JSON-native: the task spec, the ``RunResult`` as a
     dict, the full streaming summary (windows, SLOs, utilization,
@@ -185,10 +117,6 @@ def execute_task(
     if task.rate is not None:
         config = config.with_overrides(arrival_rate=float(task.rate))
     tracer = StreamingTracer()
-    if sender is not None:
-        tracer.sinks += (
-            _BusSink(sender, task.key, tracer.aggregator, snapshot_every),
-        )
     harness = SimulationHarness(config, scenario.factory(), tracer=tracer)
     wall_start = time.perf_counter()
     result = harness.run()
@@ -202,54 +130,167 @@ def execute_task(
     }
 
 
-# ----------------------------------------------------------------------
-# Worker process
-# ----------------------------------------------------------------------
-def _worker_main(
-    worker_id: int, task_queue: Any, bus_queue: Any, snapshot_every: int
-) -> None:
-    """Worker entry point: drain tasks, ship telemetry, say bye.
+def _answer(task: FleetTask) -> _Answer:
+    """Run one task, turning an exception into an error answer."""
+    try:
+        return "result", execute_task(task)
+    except Exception as exc:
+        return "error", {
+            "exception": repr(exc),
+            "traceback": traceback.format_exc(),
+        }
+
+
+def _worker_main(conn: "Connection") -> None:
+    """Worker entry point: answer each task received until ``None``.
 
     Module-level because the spawn start method pickles the target by
-    qualified name.  Every task is isolated: an exception becomes a
-    reliable ``error`` message and the worker moves on to the next
-    task; only a hard death (``inject="exit"``, a kill) ends the loop
-    without a ``bye``, which the parent's process watch turns into a
-    synthesized error record.
+    qualified name.  Every task is isolated: an exception becomes an
+    error answer and the worker waits for the next task; only a hard
+    death (``inject="exit"``, a kill) ends the loop early, and the
+    parent sees it as the end of this worker's pipe.
     """
-    sender = BusSender(bus_queue, worker=worker_id)
-    sender.send("hello", payload={"pid": os.getpid()})
-    try:
-        while True:
-            task: Optional[FleetTask] = task_queue.get()
-            if task is None:
-                break
-            # Reliable start marker: crash attribution needs to know
-            # which task this worker was holding when it died.
-            sender.send(
-                "progress", task=task.key, payload={"phase": "start"}, reliable=True
-            )
-            if task.inject == "exit":
-                time.sleep(_EXIT_FLUSH_S)
-                os._exit(43)
-            try:
-                payload = execute_task(
-                    task, sender=sender, snapshot_every=snapshot_every
-                )
-            except Exception as exc:
-                sender.send("error", task=task.key, payload={
-                    "exception": repr(exc),
-                    "traceback": traceback.format_exc(),
-                    "task": asdict(task),
-                })
-            else:
-                sender.send("result", task=task.key, payload=payload)
-    finally:
-        sender.send("bye", payload={"dropped": sender.drop_counts()})
+    for task in iter(conn.recv, None):
+        if task.inject == "exit":
+            os._exit(43)
+        conn.send(_answer(task))
 
 
 # ----------------------------------------------------------------------
-# Fleet summary assembly / persistence (shared by both modes)
+# Rollup (a pure function of the per-task results)
+# ----------------------------------------------------------------------
+def cross_run_quantiles(
+    values: List[float], qs: Tuple[float, ...] = (0.5, 0.9)
+) -> Dict[str, float]:
+    """Exact quantiles across per-run scalars (linear interpolation).
+
+    The fleet rollup merges telemetry *across* runs at this level —
+    per-run scalars, sorted, interpolated — because the within-run P²
+    sketches are streaming approximations whose internal states do not
+    compose exactly: folding two sketches' markers would give an
+    estimate that depends on merge order.  Cross-run quantiles over
+    exact per-run values are deterministic for a fixed task grid (see
+    the determinism caveats in ``docs/observability.md``).
+    """
+    if not values:
+        return {}
+    ordered = sorted(values)
+    out: Dict[str, float] = {}
+    n = len(ordered)
+    for q in qs:
+        pos = q * (n - 1)
+        lo = int(pos)
+        hi = min(lo + 1, n - 1)
+        frac = pos - lo
+        out[f"p{q * 100:g}"] = ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    return out
+
+
+def fleet_rollup(
+    results: Mapping[str, Dict[str, Any]],
+    errors: Sequence[Dict[str, Any]],
+    workers: Mapping[int, Dict[str, Any]],
+) -> Dict[str, Any]:
+    """The fleet-level aggregate of per-task results and error records.
+
+    ``results`` maps task keys to :func:`execute_task` payloads (each
+    tagged with the ``worker`` that ran it), ``errors`` holds the error
+    records and ``workers`` maps worker ids to their ``pid`` and
+    ``exitcode``.  Per-scenario rows aggregate the per-task
+    ``RunResult`` and SLO summaries; ``quantiles`` are exact cross-run
+    quantiles over per-run scalars (see :func:`cross_run_quantiles` for
+    why P² sketches are not merged); ``throughput`` sums simulator
+    events over summed worker wall time; ``slo_violation_events`` sums
+    each run's violated SLOs (each fires its event once).
+    """
+    scenarios: Dict[str, Dict[str, Any]] = {}
+    qualities: List[float] = []
+    headrooms: List[float] = []
+    total_events = 0
+    total_wall = 0.0
+    violations = 0
+    for key in sorted(results):
+        payload = results[key]
+        spec = payload.get("task") or {}
+        result = payload.get("result") or {}
+        slo = ((payload.get("summary") or {}).get("slo")) or {}
+        name = str(spec.get("scenario", "?"))
+        row = scenarios.setdefault(name, {
+            "tasks": 0, "slo_compliant": 0, "slo_evaluated": 0,
+            "quality_min": None, "quality_mean": 0.0, "quality_max": None,
+            "energy_sum": 0.0, "events": 0,
+        })
+        row["tasks"] += 1
+        quality = result.get("quality")
+        if quality is not None:
+            quality = float(quality)
+            qualities.append(quality)
+            row["quality_mean"] += quality
+            row["quality_min"] = (
+                quality if row["quality_min"] is None
+                else min(row["quality_min"], quality)
+            )
+            row["quality_max"] = (
+                quality if row["quality_max"] is None
+                else max(row["quality_max"], quality)
+            )
+        if result.get("energy") is not None:
+            row["energy_sum"] += float(result["energy"])
+        if slo:
+            row["slo_evaluated"] += 1
+            if slo.get("compliant"):
+                row["slo_compliant"] += 1
+            violations += int(slo.get("violations") or 0)
+            power = (slo.get("slos") or {}).get("power_budget") or {}
+            observed = power.get("observed") or {}
+            if observed.get("headroom_min_w") is not None:
+                headrooms.append(float(observed["headroom_min_w"]))
+        events = payload.get("events")
+        if events is not None:
+            total_events += int(events)
+            row["events"] += int(events)
+        if payload.get("wall_s") is not None:
+            total_wall += float(payload["wall_s"])
+    for row in scenarios.values():
+        if row["tasks"]:
+            row["quality_mean"] = (
+                row["quality_mean"] / row["tasks"]
+                if row["quality_min"] is not None else None
+            )
+    rows: Dict[str, Dict[str, Any]] = {}
+    for worker in sorted(workers):
+        rows[str(worker)] = {
+            "worker": worker,
+            "pid": workers[worker].get("pid"),
+            "tasks_done": sum(
+                1 for p in results.values() if p.get("worker") == worker
+            ),
+            "tasks_failed": sum(1 for e in errors if e.get("worker") == worker),
+            "exitcode": workers[worker].get("exitcode"),
+        }
+    return {
+        "tasks": {
+            "total": len(results) + len(errors),
+            "succeeded": len(results),
+            "failed": len(errors),
+        },
+        "scenarios": scenarios,
+        "throughput": {
+            "events": total_events,
+            "worker_wall_s": total_wall,
+            "events_per_sec": total_events / total_wall if total_wall > 0 else 0.0,
+        },
+        "quantiles": {
+            "quality": cross_run_quantiles(qualities),
+            "power_headroom_min_w": cross_run_quantiles(headrooms),
+        },
+        "slo_violation_events": violations,
+        "workers": rows,
+    }
+
+
+# ----------------------------------------------------------------------
+# Fleet summary assembly / persistence
 # ----------------------------------------------------------------------
 def fleet_run_id(tasks: Sequence[FleetTask]) -> str:
     """Content address of a fleet: hash of the sorted task keys.
@@ -296,35 +337,31 @@ def _validate_tasks(tasks: Sequence[FleetTask]) -> None:
 
 def _fleet_summary(
     tasks: Sequence[FleetTask],
-    aggregator: FleetAggregator,
+    results: Dict[str, Dict[str, Any]],
+    errors: List[Dict[str, Any]],
+    workers: Dict[int, Dict[str, Any]],
     run_ids: Dict[str, str],
     *,
-    workers: int,
     mode: str,
 ) -> Dict[str, Any]:
     """Assemble the storable ``repro.fleet/1`` document."""
-    rollup = aggregator.rollup()
     task_rows: List[Dict[str, Any]] = []
     for task in tasks:
-        payload = aggregator.results.get(task.key)
-        slo = None
-        if payload is not None:
-            slo = ((payload.get("summary") or {}).get("slo") or {}).get("compliant")
+        payload = results.get(task.key, {})
+        result = payload.get("result", {})
         task_rows.append({
             "key": task.key,
             "scenario": task.scenario,
             "seed": task.seed,
             "rate": task.rate,
             "scale": task.scale,
-            "ok": payload is not None,
+            "ok": task.key in results,
             "run_id": run_ids.get(task.key),
-            "worker": payload.get("worker") if payload is not None else None,
-            "quality": (payload["result"].get("quality")
-                        if payload is not None else None),
-            "energy": (payload["result"].get("energy")
-                       if payload is not None else None),
-            "slo_compliant": slo,
-            "wall_s": payload.get("wall_s") if payload is not None else None,
+            "worker": payload.get("worker"),
+            "quality": result.get("quality"),
+            "energy": result.get("energy"),
+            "slo_compliant": payload.get("summary", {}).get("slo", {}).get("compliant"),
+            "wall_s": payload.get("wall_s"),
         })
     run_id = fleet_run_id(tasks)
     return {
@@ -333,27 +370,26 @@ def _fleet_summary(
         "meta": {
             "scheduler": "fleet",
             "mode": mode,
-            "workers": workers,
+            "workers": len(workers),
             "tasks": len(tasks),
-            "succeeded": len(aggregator.results),
-            "failed": len(aggregator.errors),
+            "succeeded": len(results),
+            "failed": len(errors),
             "config_fingerprint": run_id.split("-", 1)[1],
         },
         "result": None,
-        "rollup": rollup,
+        "rollup": fleet_rollup(results, errors, workers),
         "tasks": task_rows,
-        "errors": [dict(e) for e in aggregator.errors],
+        "errors": [dict(e) for e in errors],
     }
 
 
 def _persist(
-    aggregator: FleetAggregator,
-    store: Optional[RunStore],
+    results: Dict[str, Dict[str, Any]], store: Optional[RunStore]
 ) -> Dict[str, str]:
     """Save every per-task ``repro.run/1`` summary; returns key → run id."""
     run_ids: Dict[str, str] = {}
-    for key in sorted(aggregator.results):
-        payload = aggregator.results[key]
+    for key in sorted(results):
+        payload = results[key]
         doc = make_summary(dict(payload["summary"]), result=payload["result"])
         if store is not None:
             run_ids[key] = store.save(doc)
@@ -364,7 +400,7 @@ def _persist(
 
 @dataclass
 class FleetResult:
-    """Outcome of one fleet execution (either mode)."""
+    """Outcome of one fleet execution."""
 
     fleet_id: str
     summary: Dict[str, Any]
@@ -384,76 +420,55 @@ class FleetResult:
 
 
 # ----------------------------------------------------------------------
-# Sequential mode (the determinism reference)
+# Execution
 # ----------------------------------------------------------------------
-def _drain_into(local_queue: "Queue[Dict[str, Any]]", aggregator: FleetAggregator) -> None:
-    while True:
-        try:
-            message = local_queue.get_nowait()
-        except Empty:
-            return
-        aggregator.on_message(message)
+class _Ledger:
+    """The parent's record of answers: task results and error records."""
 
+    def __init__(self, progress: Optional[Callable[[str], None]]) -> None:
+        self.results: Dict[str, Dict[str, Any]] = {}
+        self.errors: List[Dict[str, Any]] = []
+        self._say: Callable[[str], None] = progress or (lambda line: None)
 
-def run_sequential(
-    tasks: Sequence[FleetTask],
-    *,
-    runs_dir: Optional[str] = None,
-    store: bool = True,
-    progress: Optional[Callable[[str], None]] = None,
-) -> FleetResult:
-    """Run the grid in-process, one task at a time.
+    def _fail(self, kind: str, task: FleetTask, worker: Optional[int],
+              exception: str, tb: Optional[str] = None,
+              spec: Optional[Dict[str, Any]] = None) -> None:
+        self.errors.append({
+            "kind": kind,
+            "task": task.key,
+            "worker": worker,
+            "exception": exception,
+            "traceback": tb,
+            "spec": spec,
+        })
 
-    The reference execution the parallel fleet is compared against:
-    the very same :func:`execute_task` path and the very same message
-    fold (a :class:`BusSender` over a local queue feeding the same
-    :class:`FleetAggregator`), minus the processes.  Task failures are
-    isolated exactly like a worker's: an exception becomes an error
-    record and the remaining tasks still run.
-    """
-    _validate_tasks(tasks)
-    aggregator = FleetAggregator()
-    local_queue: "Queue[Dict[str, Any]]" = Queue()
-    sender = BusSender(local_queue, worker=0)
-    sender.send("hello", payload={"pid": os.getpid()})
-    for task in tasks:
-        sender.send(
-            "progress", task=task.key, payload={"phase": "start"}, reliable=True
-        )
-        try:
-            payload = execute_task(task, sender=sender)
-        except Exception as exc:
-            sender.send("error", task=task.key, payload={
-                "exception": repr(exc),
-                "traceback": traceback.format_exc(),
-                "task": asdict(task),
-            })
+    def answer(self, task: FleetTask, worker: int, answer: _Answer) -> None:
+        """Fold one worker's answer to ``task``."""
+        kind, payload = answer
+        if kind == "result":
+            payload["worker"] = worker
+            self.results[task.key] = payload
+            self._say(_task_line(task.key, payload))
         else:
-            sender.send("result", task=task.key, payload=payload)
-        _drain_into(local_queue, aggregator)
-        if progress is not None:
-            progress(_task_line(aggregator, task.key))
-    sender.send("bye", payload={"dropped": sender.drop_counts()})
-    _drain_into(local_queue, aggregator)
+            self._fail("exception", task, worker, payload["exception"],
+                       payload["traceback"], asdict(task))
+            self._say(f"{task.key:<28} ERROR {payload['exception']}")
 
-    run_store = RunStore(runs_dir) if store else None
-    run_ids = _persist(aggregator, run_store)
-    summary = _fleet_summary(tasks, aggregator, run_ids, workers=1, mode="sequential")
-    fleet_id = run_store.save(summary) if run_store is not None else str(summary["run_id"])
-    return FleetResult(
-        fleet_id=fleet_id,
-        summary=summary,
-        results=dict(aggregator.results),
-        errors=[dict(e) for e in aggregator.errors],
-        run_ids=run_ids,
-    )
+    def died(self, task: FleetTask, worker: int, exitcode: Optional[int]) -> None:
+        """Record a worker that ended without answering ``task``."""
+        exception = f"worker {worker} died (exitcode {exitcode})"
+        self._fail("worker-death", task, worker, exception)
+        self._say(f"{exception} while running {task.key}")
+
+    def unrun(self, task: FleetTask) -> None:
+        """Record a task no worker was left to run."""
+        self._fail("unrun", task, None,
+                   "no worker picked this task up (fleet died early)")
+        self._say(f"{task.key:<28} UNRUN (no surviving worker)")
 
 
-def _task_line(aggregator: FleetAggregator, key: str) -> str:
+def _task_line(key: str, payload: Dict[str, Any]) -> str:
     """One progress line for a just-finished task."""
-    payload = aggregator.results.get(key)
-    if payload is None:
-        return f"{key:<28} FAILED"
     result = payload.get("result") or {}
     slo = ((payload.get("summary") or {}).get("slo") or {})
     verdict = "-"
@@ -467,180 +482,123 @@ def _task_line(aggregator: FleetAggregator, key: str) -> str:
     )
 
 
-# ----------------------------------------------------------------------
-# Parallel mode
-# ----------------------------------------------------------------------
+def _run_workers(
+    tasks: Sequence[FleetTask], workers: int, ledger: _Ledger
+) -> Dict[int, Dict[str, Any]]:
+    """Run ``tasks`` on ``workers`` spawn processes; returns the worker table.
+
+    Each worker holds at most one task: it gets the next one as soon as
+    it answers (so a slow cell never blocks the rest) and ``None`` when
+    none is left.  A worker's pipe reaches end of file only after the
+    parent has read everything the worker sent, so a worker that ends
+    without answering the task it holds died running that task.
+    """
+    import multiprocessing as mp
+    from multiprocessing.connection import wait
+
+    ctx = mp.get_context("spawn")
+    pending = deque(tasks)
+    held: Dict[int, FleetTask] = {}
+    processes: List["SpawnProcess"] = []
+    conns: Dict["Connection", int] = {}
+    table: Dict[int, Dict[str, Any]] = {}
+
+    def hand_out(worker: int, conn: "Connection") -> None:
+        task = pending.popleft() if pending else None
+        try:
+            conn.send(task)
+        except ConnectionError:  # already dead: its end of file comes next
+            if task is not None:
+                pending.appendleft(task)
+            return
+        if task is not None:
+            held[worker] = task
+
+    try:
+        for worker in range(workers):
+            parent_end, child_end = ctx.Pipe()
+            process = ctx.Process(
+                target=_worker_main, args=(child_end,), daemon=True
+            )
+            process.start()
+            child_end.close()
+            processes.append(process)
+            conns[parent_end] = worker
+            table[worker] = {"pid": process.pid, "exitcode": None}
+            hand_out(worker, parent_end)
+        while conns:
+            for conn in cast(List["Connection"], wait(list(conns))):
+                worker = conns[conn]
+                try:
+                    answer = conn.recv()
+                except (EOFError, OSError):
+                    # The worker is gone: end of file, a reset, or a
+                    # message cut short by its death.
+                    del conns[conn]
+                    conn.close()
+                    processes[worker].join()
+                    exitcode = processes[worker].exitcode
+                    table[worker]["exitcode"] = exitcode
+                    task = held.pop(worker, None)
+                    if task is not None:
+                        ledger.died(task, worker, exitcode)
+                    continue
+                ledger.answer(held.pop(worker), worker, answer)
+                hand_out(worker, conn)
+    finally:
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+            process.join()
+        for conn in conns:
+            conn.close()
+    for task in pending:
+        ledger.unrun(task)
+    return table
+
+
 def run_fleet(
     tasks: Sequence[FleetTask],
     *,
     workers: int = 2,
     runs_dir: Optional[str] = None,
     store: bool = True,
-    queue_size: int = DEFAULT_QUEUE_SIZE,
-    heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
-    snapshot_every: int = SNAPSHOT_EVERY,
     progress: Optional[Callable[[str], None]] = None,
 ) -> FleetResult:
-    """Fan the grid across spawn-context worker processes.
+    """Run the grid and store its per-task summaries and rollup.
 
-    Tasks are pulled from a shared queue (idle workers take the next
-    cell, so a slow cell never blocks the rest); telemetry flows back
-    over one bounded bus queue drained by the aggregator thread.  The
-    main thread watches the worker processes: a worker that exits
-    without its ``bye`` is marked dead and its in-flight task becomes
-    a structured error record, and a worker silent past
-    ``heartbeat_timeout`` wall seconds is reported as stale via
-    ``progress`` (slow is not dead — only process exit is).  Tasks no
-    worker ever picked up (every worker died first) are recorded as
-    unrun errors, so the grid is always fully accounted: every task
-    ends in exactly one of ``results`` or ``errors``.
+    ``workers=1`` runs every task in-process, one after the other
+    (mode ``sequential``); more fan the grid across that many
+    spawn-context worker processes (mode ``parallel``, never more
+    workers than tasks).  Both run :func:`execute_task`, so per-task
+    results are identical.  ``progress`` receives one line per finished,
+    failed or unrun task.  Every task ends in exactly one of ``results``
+    or ``errors``.
     """
-    import multiprocessing as mp
-
     _validate_tasks(tasks)
     if workers < 1:
         raise ReproError(f"fleet needs at least one worker, got {workers!r}")
-    workers = min(workers, len(tasks))
-    ctx = mp.get_context("spawn")
-    task_queue = ctx.Queue()
-    bus_queue = ctx.Queue(maxsize=queue_size)
-    for task in tasks:
-        task_queue.put(task)
-    for _ in range(workers):
-        task_queue.put(None)  # one shutdown sentinel per worker
-
-    aggregator = FleetAggregator()
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def _drain() -> None:
-        while True:
-            try:
-                message = bus_queue.get(timeout=0.1)
-            except Empty:
-                if stop.is_set():
-                    return
-                continue
-            with lock:
-                aggregator.on_message(message)
-            if progress is not None and message.get("type") == "result":
-                with lock:
-                    line = _task_line(aggregator, str(message.get("task")))
-                progress(line)
-            elif progress is not None and message.get("type") == "error":
-                progress(f"{message.get('task')!s:<28} ERROR "
-                         f"{message['payload'].get('exception')}")
-
-    drainer = threading.Thread(target=_drain, name="fleet-aggregator", daemon=True)
-    drainer.start()
-    processes = [
-        ctx.Process(
-            target=_worker_main,
-            args=(i, task_queue, bus_queue, snapshot_every),
-            daemon=True,
-        )
-        for i in range(workers)
-    ]
-    for process in processes:
-        process.start()
-
-    handled: set = set()
-    reported_stale: set = set()
-    while any(p.is_alive() for p in processes):
-        for i, process in enumerate(processes):
-            if process.is_alive() or i in handled:
-                continue
-            process.join()
-            handled.add(i)
-            with lock:
-                record = aggregator.mark_worker_dead(i, exitcode=process.exitcode)
-            if record is not None and progress is not None:
-                progress(
-                    f"worker {i} died (exitcode {process.exitcode}) while "
-                    f"running {record['task']}"
-                )
-        with lock:
-            stale = aggregator.stale_workers(
-                now=time.time(), timeout=heartbeat_timeout
-            )
-        for worker in stale:
-            if worker not in reported_stale and progress is not None:
-                reported_stale.add(worker)
-                progress(
-                    f"watchdog: no telemetry from worker {worker} for "
-                    f"{heartbeat_timeout:g}s (still alive — slow task?)"
-                )
-        time.sleep(0.05)
-    for i, process in enumerate(processes):
-        process.join()
-        if i not in handled:
-            with lock:
-                aggregator.mark_worker_dead(i, exitcode=process.exitcode)
-
-    # Give the queue's feeder-flushed tail a moment, then stop the
-    # drainer and sweep any straggler messages ourselves.
-    deadline = time.time() + 5.0
-    while time.time() < deadline and not bus_queue.empty():
-        time.sleep(0.05)
-    stop.set()
-    drainer.join()
-    while True:
-        try:
-            message = bus_queue.get_nowait()
-        except Empty:
-            break
-        aggregator.on_message(message)
-
-    # Tasks nobody ran (e.g. every worker died before reaching them).
-    accounted = set(aggregator.results)
-    accounted.update(str(e["task"]) for e in aggregator.errors if e.get("task"))
-    for task in tasks:
-        if task.key not in accounted:
-            aggregator.mark_task_unrun(
-                task.key, "no worker picked this task up (fleet died early)"
-            )
-            if progress is not None:
-                progress(f"{task.key:<28} UNRUN (no surviving worker)")
-
-    # Drop the queues' feeder threads without blocking interpreter exit
-    # on unconsumed sentinels left behind by dead workers.
-    for q in (task_queue, bus_queue):
-        q.close()
-        q.cancel_join_thread()
+    ledger = _Ledger(progress)
+    table: Dict[int, Dict[str, Any]]
+    if workers == 1:
+        for task in tasks:
+            ledger.answer(task, 0, _answer(task))
+        table = {0: {"pid": os.getpid(), "exitcode": None}}
+        mode = "sequential"
+    else:
+        table = _run_workers(tasks, min(workers, len(tasks)), ledger)
+        mode = "parallel"
 
     run_store = RunStore(runs_dir) if store else None
-    run_ids = _persist(aggregator, run_store)
+    run_ids = _persist(ledger.results, run_store)
     summary = _fleet_summary(
-        tasks, aggregator, run_ids, workers=workers, mode="parallel"
+        tasks, ledger.results, ledger.errors, table, run_ids, mode=mode
     )
     fleet_id = run_store.save(summary) if run_store is not None else str(summary["run_id"])
     return FleetResult(
         fleet_id=fleet_id,
         summary=summary,
-        results=dict(aggregator.results),
-        errors=[dict(e) for e in aggregator.errors],
+        results=ledger.results,
+        errors=ledger.errors,
         run_ids=run_ids,
     )
-
-
-# ----------------------------------------------------------------------
-# Generic spawn-pool map (sweep_rates)
-# ----------------------------------------------------------------------
-def parallel_map(
-    fn: Callable[[_T], _U], items: Sequence[_T], *, workers: int
-) -> List[_U]:
-    """Order-preserving map over a spawn-context process pool.
-
-    ``fn`` and every item must be picklable (module-level functions,
-    plain dataclasses).  ``workers <= 1`` degrades to an in-process
-    loop, so callers can pass a ``parallel`` count straight
-    through.  Note the pool has no crash isolation — a dying worker
-    aborts the whole map; use :func:`run_fleet` when tasks may fail.
-    """
-    if workers <= 1:
-        return [fn(item) for item in items]
-    import multiprocessing as mp
-
-    ctx = mp.get_context("spawn")
-    with ctx.Pool(processes=min(workers, len(items) or 1)) as pool:
-        return pool.map(fn, list(items))

@@ -72,42 +72,21 @@ def run_single(
     return SimulationHarness(config, factory(), tracer=tracer).run()
 
 
-def _sweep_cell(cell: "tuple[SimulationConfig, SchedulerFactory]") -> RunResult:
-    """One (config, factory) sweep cell — module-level so the spawn
-    start method can pickle it for :func:`sweep_rates`'s parallel path."""
-    config, factory = cell
-    return run_single(config, factory)
-
-
 def sweep_rates(
     config: SimulationConfig,
     factories: Dict[str, SchedulerFactory],
     rates: Sequence[float],
-    *,
-    parallel: int = 1,
 ) -> Dict[str, List[RunResult]]:
     """Run each policy at each arrival rate (identical arrivals per rate).
 
-    ``parallel > 1`` fans the cells across a spawn-context process
-    pool (factories must then be picklable, i.e. module-level); the
-    returned mapping is identical to the sequential one — each cell is
-    a pure function of (config, seed), so only wall time changes.
+    Rates are the outer loop and policies the inner one; each policy's
+    list follows ``rates``.
     """
-    names = list(factories)
-    cells: List["tuple[SimulationConfig, SchedulerFactory]"] = []
+    out: Dict[str, List[RunResult]] = {name: [] for name in factories}
     for rate in rates:
         rate_cfg = config.with_overrides(arrival_rate=float(rate))
-        for name in names:
-            cells.append((rate_cfg, factories[name]))
-    if parallel > 1:
-        from repro.experiments.fleet import parallel_map  # local: avoid cycle
-
-        results = parallel_map(_sweep_cell, cells, workers=parallel)
-    else:
-        results = [_sweep_cell(cell) for cell in cells]
-    out: Dict[str, List[RunResult]] = {name: [] for name in names}
-    for index, result in enumerate(results):
-        out[names[index % len(names)]].append(result)
+        for name, factory in factories.items():
+            out[name].append(run_single(rate_cfg, factory))
     return out
 
 

@@ -13,32 +13,25 @@ Works on a :class:`repro.obs.tracer.Trace` (live from a
 * :func:`summarize` — a human-readable digest of all of the above
   (what ``repro-cli trace`` prints).
 
-:func:`mode_intervals` and :func:`core_utilization` also accept a
-plain iterator of record dicts (:func:`repro.obs.export.iter_jsonl`),
-folding in one pass with constant memory — analyzing a large trace
-file no longer requires loading it wholesale.
+A trace file too large to load folds in constant memory through
+``fold_records(iter_jsonl(path))`` (:mod:`repro.obs.stream`) instead.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.obs.tracer import Trace
 
 __all__ = [
     "ModeInterval",
-    "TraceLike",
     "core_utilization",
     "job_stats",
     "mode_intervals",
     "summarize",
 ]
-
-#: What the streaming-capable analyzers accept: a materialized trace
-#: or an iterator of JSON-native record dicts in file order.
-TraceLike = Union[Trace, Iterable[Dict[str, Any]]]
 
 
 @dataclass(frozen=True)
@@ -63,19 +56,13 @@ def _trace_end(trace: Trace) -> Optional[float]:
     return max(times) if times else None
 
 
-def mode_intervals(trace: TraceLike) -> List[ModeInterval]:
+def mode_intervals(trace: Trace) -> List[ModeInterval]:
     """AES/BQ intervals reconstructed from the per-round decisions.
 
     Each ``decision`` event carries the mode chosen for the round;
     consecutive rounds with the same mode merge into one interval.  The
     last interval extends to the run end (``meta["end"]``).
-
-    Accepts a :class:`Trace` or an iterator of record dicts (e.g. from
-    :func:`repro.obs.export.iter_jsonl`); the iterator path folds in
-    one pass with constant memory.
     """
-    if not isinstance(trace, Trace):
-        return _mode_intervals_records(trace)
     decisions = trace.events_of("decision")
     if not decisions:
         return []
@@ -91,37 +78,7 @@ def mode_intervals(trace: TraceLike) -> List[ModeInterval]:
     return out
 
 
-def _mode_intervals_records(records: Iterable[Dict[str, Any]]) -> List[ModeInterval]:
-    """Single-pass :func:`mode_intervals` over raw record dicts."""
-    out: List[ModeInterval] = []
-    start: Optional[float] = None
-    mode = ""
-    meta_end: Optional[float] = None
-    max_time: Optional[float] = None
-    for record in records:
-        rtype = record.get("type")
-        if rtype == "meta":
-            if "end" in record["meta"]:  # later headers win
-                meta_end = float(record["meta"]["end"])
-        elif rtype in ("event", "sample"):
-            time = float(record["time"])
-            if max_time is None or time > max_time:
-                max_time = time
-            if rtype == "event" and record.get("kind") == "decision":
-                record_mode = record["attrs"]["mode"]
-                if start is None:
-                    start, mode = time, record_mode
-                elif record_mode != mode:
-                    out.append(ModeInterval(start=start, end=time, mode=mode))
-                    start, mode = time, record_mode
-    if start is None:
-        return []
-    end = meta_end if meta_end is not None else max_time
-    out.append(ModeInterval(start=start, end=end if end is not None else start, mode=mode))
-    return out
-
-
-def core_utilization(trace: TraceLike) -> Dict[int, Dict[str, float]]:
+def core_utilization(trace: Trace) -> Dict[int, Dict[str, float]]:
     """Per-core execution breakdown.
 
     Returns ``{core: {"busy": s, "slices": n, "volume": units,
@@ -129,13 +86,7 @@ def core_utilization(trace: TraceLike) -> Dict[int, Dict[str, float]]:
     from closed exec spans; energy is the final timeline sample's
     cumulative value; utilization divides busy time by the run duration
     (0 when the duration is unknown).
-
-    Accepts a :class:`Trace` or an iterator of record dicts (e.g. from
-    :func:`repro.obs.export.iter_jsonl`); the iterator path folds in
-    one pass with constant memory.
     """
-    if not isinstance(trace, Trace):
-        return _core_utilization_records(trace)
     out: Dict[int, Dict[str, float]] = defaultdict(
         lambda: {"busy": 0.0, "slices": 0.0, "volume": 0.0, "energy": 0.0,
                  "utilization": 0.0}
@@ -152,49 +103,6 @@ def core_utilization(trace: TraceLike) -> Dict[int, Dict[str, float]]:
         out[sample.core]["energy"] = sample.energy
     end = _trace_end(trace)
     start = float(trace.meta.get("start", 0.0))
-    span_len = (end - start) if end is not None else 0.0
-    if span_len > 0:
-        for row in out.values():
-            row["utilization"] = row["busy"] / span_len
-    return dict(sorted(out.items()))
-
-
-def _core_utilization_records(
-    records: Iterable[Dict[str, Any]],
-) -> Dict[int, Dict[str, float]]:
-    """Single-pass :func:`core_utilization` over raw record dicts."""
-    out: Dict[int, Dict[str, float]] = defaultdict(
-        lambda: {"busy": 0.0, "slices": 0.0, "volume": 0.0, "energy": 0.0,
-                 "utilization": 0.0}
-    )
-    start = 0.0
-    meta_end: Optional[float] = None
-    max_time: Optional[float] = None
-    for record in records:
-        rtype = record.get("type")
-        if rtype == "meta":
-            meta = record["meta"]
-            start = float(meta.get("start", start))
-            if "end" in meta:  # later headers win
-                meta_end = float(meta["end"])
-        elif rtype == "span":
-            if record.get("name") != "exec" or record.get("end") is None:
-                continue
-            attrs = record.get("attrs", {})
-            row = out[int(attrs["core"])]
-            row["busy"] += float(record["end"]) - float(record["start"])
-            row["slices"] += 1
-            row["volume"] += float(attrs.get("done", 0.0))
-        elif rtype == "event":
-            time = float(record["time"])
-            if max_time is None or time > max_time:
-                max_time = time
-        elif rtype == "sample":
-            time = float(record["time"])
-            if max_time is None or time > max_time:
-                max_time = time
-            out[int(record["core"])]["energy"] = float(record["energy"])
-    end = meta_end if meta_end is not None else max_time
     span_len = (end - start) if end is not None else 0.0
     if span_len > 0:
         for row in out.values():

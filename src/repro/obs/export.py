@@ -12,8 +12,7 @@ by ``"type"``:
 ``read_jsonl(p) == trace`` after ``write_jsonl(trace, p)`` (Python's
 ``json`` emits shortest-repr floats, which round-trip bit-exactly).
 :func:`iter_jsonl` is the streaming variant — one record dict at a
-time, constant memory — for feeding :mod:`repro.obs.stream` and the
-iterator-aware analyzers in :mod:`repro.obs.analyze`.
+time, constant memory — for feeding :mod:`repro.obs.stream`.
 
 :class:`JsonlSpill` is the incremental writer: a tracer sink that
 appends each record as it is emitted (constant memory).
@@ -149,9 +148,7 @@ def iter_jsonl(path: _PathLike) -> Iterator[Dict[str, Any]]:
     The streaming complement of :func:`read_jsonl`: nothing is
     materialized beyond the current line, so a multi-gigabyte trace
     can be analyzed in constant memory (feed the iterator to
-    :func:`repro.obs.stream.fold_records`,
-    :func:`repro.obs.analyze.mode_intervals` or
-    :func:`repro.obs.analyze.core_utilization`).  Record order is the
+    :func:`repro.obs.stream.fold_records`).  Record order is the
     file's order; ``meta`` headers validate their schema tag exactly
     like :func:`read_jsonl`, and later headers supersede earlier ones
     (a :class:`JsonlSpill` file has a provisional header and a final

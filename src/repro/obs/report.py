@@ -19,7 +19,7 @@ A ``repro.fleet/1`` rollup document (see
 :mod:`repro.experiments.fleet`) renders through
 :func:`render_fleet_report` instead — a fleet dashboard with the
 rollup panel (per-scenario SLO compliance, cross-run quantiles,
-throughput, drop accounting), a worker table and the per-run grid;
+throughput), a worker table and the per-run grid;
 :func:`write_report` dispatches on the summary's ``schema`` tag.
 
 Everything here is pure string building over the summary dict: no
@@ -491,27 +491,16 @@ def _fleet_worker_table(workers: Dict[str, Any]) -> str:
         return "<p class='nodata'>no worker records</p>"
     rows = [
         "<table><tr><th>worker</th><th class='num'>pid</th>"
-        "<th class='num'>messages</th><th class='num'>done</th>"
-        "<th class='num'>failed</th><th>lifecycle</th>"
-        "<th class='num'>dropped</th><th class='num'>exit</th></tr>"
+        "<th class='num'>done</th><th class='num'>failed</th>"
+        "<th class='num'>exit</th></tr>"
     ]
     for key in sorted(workers, key=lambda k: int(k)):
         row = workers[key]
-        if row.get("bye"):
-            lifecycle = "<span class='ok'>clean</span>"
-        elif row.get("hello"):
-            lifecycle = "<span class='viol'>died</span>"
-        else:
-            lifecycle = "<span class='nodata'>never heard</span>"
-        dropped = sum((row.get("dropped") or {}).values())
         rows.append(
             f"<tr><td>{escape(str(row.get('worker', key)))}</td>"
             f"<td class='num'>{_fmt(row.get('pid'))}</td>"
-            f"<td class='num'>{_fmt(row.get('messages'))}</td>"
             f"<td class='num'>{_fmt(row.get('tasks_done'))}</td>"
             f"<td class='num'>{_fmt(row.get('tasks_failed'))}</td>"
-            f"<td>{lifecycle}</td>"
-            f"<td class='num'>{dropped}</td>"
             f"<td class='num'>{_fmt(row.get('exitcode'))}</td></tr>"
         )
     rows.append("</table>")
@@ -581,7 +570,6 @@ def render_fleet_report(summary: Dict[str, Any]) -> str:
     tasks = rollup.get("tasks") or {}
     throughput = rollup.get("throughput") or {}
     quantiles = rollup.get("quantiles") or {}
-    dropped = rollup.get("dropped") or {}
 
     failed = int(tasks.get("failed", 0) or 0)
     verdict = (
@@ -610,12 +598,9 @@ def render_fleet_report(summary: Dict[str, Any]) -> str:
             f"<td class='num'>{_fmt(qs.get('p90'), 5)}</td></tr>"
         )
     quantile_rows.append("</table>")
-    drop_total = sum(dropped.values()) if dropped else 0
-    drop_note = (
-        f"<p class='meta'>dropped telemetry messages: {drop_total}"
-        + (" (" + ", ".join(f"{k}={v}" for k, v in sorted(dropped.items()) if v) + ")"
-           if drop_total else "")
-        + f" · live SLO violation events: {_fmt(rollup.get('slo_violation_events'))}</p>"
+    violation_note = (
+        "<p class='meta'>SLO violation events: "
+        f"{_fmt(rollup.get('slo_violation_events'))}</p>"
     )
 
     sections = [
@@ -625,7 +610,7 @@ def render_fleet_report(summary: Dict[str, Any]) -> str:
         f"<div class='card'><h1>fleet {escape(str(summary.get('run_id', '?')))}</h1>",
         f"<p class='meta'>mode {_fmt(meta.get('mode'))} · "
         f"{_fmt(meta.get('workers'))} worker(s) · {verdict}</p>"
-        f"{headline}{drop_note}</div>",
+        f"{headline}{violation_note}</div>",
         "<div class='card'><h2>Per-scenario rollup</h2>",
         _fleet_scenario_table(rollup.get("scenarios") or {}),
         "</div>",

@@ -32,9 +32,9 @@ identical configuration produces an identical summary (the simulator
 is deterministic) and the store stays deduplicated.
 
 This module records **wall-clock** storage timestamps
-(``created_unix``) so humans can order store entries; that is the one
-sim-lint SIM001 exemption in :mod:`repro.obs` and it never touches
-simulated time.
+(``created_unix``) so humans can order store entries; that is why it
+is, with the phase profiler :mod:`repro.obs.prof`, one of the two
+sim-lint SIM001 exemptions, and it never touches simulated time.
 """
 
 from __future__ import annotations
@@ -503,14 +503,9 @@ def format_fleet(summary: Dict[str, Any]) -> str:
         if qs:
             pairs = "  ".join(f"{k}={_fmt(v, 4)}" for k, v in sorted(qs.items()))
             lines.append(f"  {name}: {pairs}")
-    dropped = rollup.get("dropped") or {}
-    total_dropped = sum(dropped.values()) if dropped else 0
-    if total_dropped:
-        pairs = ", ".join(f"{k}={v}" for k, v in sorted(dropped.items()) if v)
-        lines.append(f"  dropped messages: {total_dropped} ({pairs})")
     violations = rollup.get("slo_violation_events")
     if violations:
-        lines.append(f"  live slo violation events: {violations}")
+        lines.append(f"  slo violation events: {violations}")
     errors = summary.get("errors") or []
     for error in errors:
         lines.append(

@@ -25,7 +25,7 @@ from repro.power.models import PowerModel
 from repro.server.core import Core
 from repro.sim.engine import Simulator
 from repro.sim.timeline import StepTimeline
-from repro.units import Gigahertz, Joules, PowerBudget, Seconds, Speed, Volume, Watts
+from repro.units import Gigahertz, Joules, PowerBudget, Seconds, Speed, Volume
 from repro.workload.job import Job
 
 __all__ = ["MulticoreServer"]
@@ -158,12 +158,6 @@ class MulticoreServer:
         return sum(
             core.speed_timeline.integral(end, transform=model.power)
             for core, model in zip(self.cores, self.models)
-        )
-
-    def instantaneous_power(self) -> Watts:
-        """Total dynamic power draw right now (W)."""
-        return float(
-            sum(model.power(core.speed) for core, model in zip(self.cores, self.models))
         )
 
     def mean_speed(self, until: Optional[Seconds] = None) -> Gigahertz:

@@ -4,19 +4,19 @@ Energy is the time integral of power, and the paper's Fig. 6 needs the
 time-average and time-variance of per-core speeds.  Cores change speed
 only at scheduling events, so every per-core signal is piecewise
 constant; :class:`StepTimeline` records the breakpoints and answers
-integral/average/variance queries exactly (no sampling error).
+integral/average/sample queries exactly (no sampling error).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.units import Seconds
 
-__all__ = ["StepTimeline", "merge_mean_timeline"]
+__all__ = ["StepTimeline"]
 
 
 class StepTimeline:
@@ -72,18 +72,6 @@ class StepTimeline:
             self._values.append(float(value))
 
     # ------------------------------------------------------------------
-    def segments(self, until: Seconds) -> Iterator[Tuple[Seconds, Seconds, float]]:
-        """Yield ``(start, end, value)`` segments covering [start_time, until]."""
-        if until < self._times[0]:
-            raise SimulationError("query before the timeline's start")
-        for i, (t, v) in enumerate(zip(self._times, self._values)):
-            end = self._times[i + 1] if i + 1 < len(self._times) else until
-            end = min(end, until)
-            if end > t:
-                yield (t, end, v)
-            if end >= until:
-                break
-
     def integral(
         self,
         until: Seconds,
@@ -114,15 +102,6 @@ class StepTimeline:
             return self._values[0]
         return self.integral(until) / span
 
-    def time_variance(self, until: Seconds) -> float:
-        """Time-weighted variance of the signal over [start_time, until]."""
-        span = until - self._times[0]
-        if span <= 0:
-            return 0.0
-        mean = self.time_average(until)
-        second = self.integral(until, transform=lambda v: v * v) / span
-        return max(0.0, second - mean * mean)
-
     def sample(self, time: Seconds) -> float:
         """Value of the signal at ``time`` (right-continuous)."""
         if time < self._times[0]:
@@ -130,36 +109,6 @@ class StepTimeline:
         idx = int(np.searchsorted(np.asarray(self._times), time, side="right")) - 1
         return self._values[idx]
 
-    def as_arrays(self, until: Seconds) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(breakpoints, values)`` arrays covering up to ``until``."""
-        starts, values = [], []
-        for start, _end, value in self.segments(until):
-            starts.append(start)
-            values.append(value)
-        return np.asarray(starts), np.asarray(values)
-
     def __len__(self) -> int:
         return len(self._times)
 
-
-def merge_mean_timeline(timelines: List[StepTimeline], until: Seconds) -> StepTimeline:
-    """Pointwise mean of several step timelines as a new timeline.
-
-    Used to build the "average core speed over time" signal across the
-    machine from per-core speed timelines.
-    """
-    if not timelines:
-        raise SimulationError("merge_mean_timeline needs at least one timeline")
-    breakpoints = sorted(
-        {t for tl in timelines for t in tl._times if t <= until} | {until}
-    )
-    start = breakpoints[0]
-    merged = StepTimeline(
-        start_time=start,
-        initial_value=float(np.mean([tl.sample(start) for tl in timelines])),
-    )
-    for t in breakpoints[1:]:
-        if t >= until:
-            break
-        merged.set_value(t, float(np.mean([tl.sample(t) for tl in timelines])))
-    return merged

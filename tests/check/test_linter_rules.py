@@ -139,38 +139,21 @@ class TestSIM004Layering:
 
 
 class TestSIM004FleetConfinement:
-    def test_bus_module_allowlisted_for_wall_clock(self):
-        # The telemetry bus stamps messages and tracks worker liveness
-        # against the host clock — fleet metadata, not simulated time.
-        from repro.check.rules import SIM001_MODULE_ALLOWLIST
-
-        assert "repro.obs.bus" in SIM001_MODULE_ALLOWLIST
-        src = "import time\n\ndef stamp() -> float:\n    return time.time()\n"
-        assert "SIM001" not in codes(src, "repro.obs.bus")
-
     def test_core_cannot_import_fleet(self):
         src = "from repro.experiments.fleet import run_fleet\n"
         assert "SIM004" in codes(src, "repro.core.ge")
 
-    def test_sim_cannot_import_bus(self):
-        src = "from repro.obs.bus import BusSender\n"
-        assert "SIM004" in codes(src, "repro.sim.engine")
-
-    def test_obs_siblings_cannot_import_bus(self):
-        # Even inside repro.obs (where plain layering would allow it),
-        # only the fleet side may depend on the bus.
-        src = "from repro.obs.bus import FleetAggregator\n"
+    def test_obs_siblings_cannot_import_fleet(self):
+        # No observability module may depend on process orchestration.
+        src = "from repro.experiments.fleet import run_fleet\n"
         assert "SIM004" in codes(src, "repro.obs.stream")
 
     def test_submodule_spelling_is_caught(self):
-        src = "from repro.obs import bus\n"
+        src = "from repro.experiments import fleet\n"
         assert "SIM004" in codes(src, "repro.metrics.collector")
 
     def test_experiments_and_cli_may_import_fleet(self):
-        src = (
-            "from repro.experiments.fleet import run_fleet\n"
-            "from repro.obs.bus import BusSender\n"
-        )
+        src = "from repro.experiments.fleet import run_fleet\n"
         assert "SIM004" not in codes(src, "repro.experiments.runner")
         assert "SIM004" not in codes(src, "repro.cli")
         assert "SIM004" not in codes(src, "repro.experiments.fleet")
@@ -180,8 +163,8 @@ class TestSIM004FleetConfinement:
         assert "SIM004" in codes(src, "repro.cli")
         assert "SIM004" in codes(src, "repro.sim.engine")
         assert "SIM004" in codes(src, "repro.experiments.runner")
+        assert "SIM004" in codes(src, "repro.obs.runs")
         assert "SIM004" not in codes(src, "repro.experiments.fleet")
-        assert "SIM004" not in codes(src, "repro.obs.bus")
 
     def test_multiprocessing_from_import_and_submodule(self):
         assert "SIM004" in codes(
@@ -200,8 +183,8 @@ class TestSIM004FleetConfinement:
         assert "SIM004" not in codes(src, "repro.obs.stream")
 
     def test_streaming_telemetry_stays_unexempt(self):
-        # The fixture pins that the bus exemption did not leak onto the
-        # simulated-time telemetry modules.
+        # The wall-clock exemptions of the profiler and the run registry
+        # must not leak onto the simulated-time telemetry modules.
         from repro.check.rules import SIM001_MODULE_ALLOWLIST
 
         src = "import time\n\ndef now() -> float:\n    return time.time()\n"

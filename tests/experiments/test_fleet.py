@@ -8,21 +8,21 @@ fleet-smoke job runs them with ``-m slow``.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.errors import ReproError
 from repro.experiments.fleet import (
     FleetResult,
+    cross_run_quantiles,
     execute_task,
     fleet_compliance,
+    fleet_rollup,
     fleet_run_id,
-    parallel_map,
     run_fleet,
-    run_sequential,
 )
 from repro.experiments.registry import FleetTask, fleet_grid
-from repro.experiments.runner import scaled_config, sweep_rates
 from repro.obs.runs import FLEET_SCHEMA, RunStore
 from repro.obs.report import write_report
 
@@ -47,6 +47,25 @@ def strip_wall_clock(payload):
         "result": payload["result"],
         "summary": summary,
         "events": payload["events"],
+    }
+
+
+def result_payload(scenario, *, quality, energy, compliant=True,
+                   headroom=None, events=100, wall_s=0.5, worker=0):
+    """A minimal task result shaped like execute_task's, tagged with
+    the worker that ran it."""
+    slo = {"compliant": compliant, "slos": {}}
+    if headroom is not None:
+        slo["slos"]["power_budget"] = {
+            "observed": {"headroom_min_w": headroom}
+        }
+    return {
+        "task": {"scenario": scenario},
+        "result": {"quality": quality, "energy": energy},
+        "summary": {"slo": slo},
+        "events": events,
+        "wall_s": wall_s,
+        "worker": worker,
     }
 
 
@@ -123,11 +142,51 @@ class TestExecuteTask:
             execute_task(FleetTask(scenario="ge_light", seed=1, inject="exit"))
 
 
+class TestCrossRunQuantiles:
+    def test_empty_and_single(self):
+        assert cross_run_quantiles([]) == {}
+        assert cross_run_quantiles([2.0]) == {"p50": 2.0, "p90": 2.0}
+
+    def test_interpolated_and_order_free(self):
+        forward = cross_run_quantiles([1.0, 2.0, 3.0, 4.0])
+        assert forward["p50"] == pytest.approx(2.5)
+        assert forward["p90"] == pytest.approx(3.7)
+        assert cross_run_quantiles([4.0, 1.0, 3.0, 2.0]) == forward
+
+
+class TestRollup:
+    def test_rollup_scenario_and_quantile_shape(self):
+        results = {}
+        for key, quality, energy, compliant in (
+            ("a", 0.8, 10.0, True), ("b", 0.9, 12.0, False),
+        ):
+            results[key] = result_payload(
+                "ge_light", quality=quality, energy=energy,
+                compliant=compliant, headroom=5.0)
+        results["c"] = result_payload("ge_nominal", quality=0.7, energy=20.0)
+        errors = [{"kind": "unrun", "task": "d", "worker": None,
+                   "exception": "never ran", "traceback": None, "spec": None}]
+
+        rollup = fleet_rollup(results, errors, {0: {"pid": 99, "exitcode": 0}})
+        assert rollup["tasks"] == {"total": 4, "succeeded": 3, "failed": 1}
+        light = rollup["scenarios"]["ge_light"]
+        assert light["tasks"] == 2
+        assert light["slo_compliant"] == 1 and light["slo_evaluated"] == 2
+        assert light["quality_min"] == 0.8 and light["quality_max"] == 0.9
+        assert light["quality_mean"] == pytest.approx(0.85)
+        assert light["energy_sum"] == pytest.approx(22.0)
+        assert rollup["throughput"]["events"] == 300
+        assert rollup["throughput"]["events_per_sec"] > 0
+        assert rollup["quantiles"]["quality"]["p50"] == pytest.approx(0.8)
+        assert rollup["quantiles"]["power_headroom_min_w"]["p50"] == 5.0
+        assert rollup["workers"]["0"]["tasks_done"] == 3
+
+
 class TestSequentialMode:
     @pytest.fixture(scope="class")
     def outcome(self, tmp_path_factory):
         runs_dir = tmp_path_factory.mktemp("fleet-seq")
-        return run_sequential(grid_2x2(), runs_dir=str(runs_dir)), runs_dir
+        return run_fleet(grid_2x2(), workers=1, runs_dir=str(runs_dir)), runs_dir
 
     def test_all_tasks_succeed(self, outcome):
         fleet, _ = outcome
@@ -148,6 +207,15 @@ class TestSequentialMode:
         }
         assert all(row["ok"] and row["run_id"] for row in doc["tasks"])
         json.dumps(doc)
+
+    def test_slo_violation_events_sum_task_violations(self, outcome):
+        fleet, _ = outcome
+        violations = [
+            payload["summary"]["slo"]["violations"]
+            for payload in fleet.results.values()
+        ]
+        assert sum(violations) > 0
+        assert fleet.summary["rollup"]["slo_violation_events"] == sum(violations)
 
     def test_persisted_into_store(self, outcome):
         fleet, runs_dir = outcome
@@ -180,7 +248,7 @@ class TestSequentialMode:
             FleetTask(scenario="ge_light", seed=2, scale=SCALE,
                       inject="raise"),
         ]
-        fleet = run_sequential(tasks, store=False)
+        fleet = run_fleet(tasks, workers=1, store=False)
         assert not fleet.ok and fleet.exit_code == 1
         assert tasks[0].key in fleet.results
         (record,) = fleet.errors
@@ -191,12 +259,12 @@ class TestSequentialMode:
 
     def test_validation_rejects_bad_grids(self):
         with pytest.raises(ReproError, match="empty grid"):
-            run_sequential([], store=False)
+            run_fleet([], workers=1, store=False)
         task = FleetTask(scenario="ge_light", seed=1, scale=SCALE)
         with pytest.raises(ReproError, match="duplicate"):
-            run_sequential([task, task], store=False)
+            run_fleet([task, task], workers=1, store=False)
         with pytest.raises(ReproError, match="unknown fleet scenario"):
-            run_sequential([FleetTask(scenario="nope", seed=1)], store=False)
+            run_fleet([FleetTask(scenario="nope", seed=1)], workers=1, store=False)
 
 
 @pytest.mark.slow
@@ -204,7 +272,7 @@ class TestParallelMode:
     @pytest.fixture(scope="class")
     def pair(self, tmp_path_factory):
         tasks = grid_2x2()
-        sequential = run_sequential(tasks, store=False)
+        sequential = run_fleet(tasks, workers=1, store=False)
         parallel = run_fleet(
             tasks, workers=2,
             runs_dir=str(tmp_path_factory.mktemp("fleet-par")),
@@ -227,9 +295,9 @@ class TestParallelMode:
         assert doc["meta"]["mode"] == "parallel"
         assert doc["meta"]["workers"] == 2
         workers = doc["rollup"]["workers"]
-        assert all(row["hello"] and row["bye"] for row in workers.values())
-        # Work actually spread across both workers' queues is not
-        # guaranteed (one may drain the grid), but both must report in.
+        assert all(row["exitcode"] == 0 for row in workers.values())
+        # Work actually spread across both workers is not guaranteed
+        # (one may take most of the grid), but both must report in.
         assert len(workers) == 2
 
     def test_same_grid_same_fleet_id(self, pair):
@@ -260,30 +328,33 @@ class TestParallelMode:
         with pytest.raises(ReproError, match="at least one worker"):
             run_fleet(grid_2x2(), workers=0, store=False)
 
-
-class TestParallelMap:
-    def test_workers_one_runs_in_process(self):
-        assert parallel_map(len, ["a", "bb", "ccc"], workers=1) == [1, 2, 3]
-
-    @pytest.mark.slow
-    def test_pool_preserves_order(self):
-        items = list(range(7))
-        assert parallel_map(_square, items, workers=2) == [
-            n * n for n in items
+    def test_tasks_become_unrun_when_no_worker_is_left(self):
+        tasks = [
+            FleetTask(scenario="ge_light", seed=1, scale=SCALE, inject="exit"),
+            FleetTask(scenario="ge_light", seed=2, scale=SCALE, inject="exit"),
+            FleetTask(scenario="ge_nominal", seed=1, scale=SCALE),
+            FleetTask(scenario="ge_nominal", seed=2, scale=SCALE),
         ]
+        fleet = run_fleet(tasks, workers=2, store=False)
+        assert not fleet.results and fleet.exit_code == 1
+        kinds = {e["task"]: e["kind"] for e in fleet.errors}
+        assert kinds == {
+            tasks[0].key: "worker-death", tasks[1].key: "worker-death",
+            tasks[2].key: "unrun", tasks[3].key: "unrun",
+        }
+        for record in fleet.errors:
+            if record["kind"] == "unrun":
+                assert record["worker"] is None
+        assert fleet.summary["rollup"]["tasks"] == {
+            "total": 4, "succeeded": 0, "failed": 4,
+        }
 
-    @pytest.mark.slow
-    def test_sweep_rates_parallel_equivalence(self):
-        from repro.experiments.fig03_schedulers import FACTORIES
-
-        config = scaled_config(SCALE, 7)
-        factories = {"GE": FACTORIES["GE"]}
-        rates = [120.0, 200.0]
-        sequential = sweep_rates(config, factories, rates)
-        parallel = sweep_rates(config, factories, rates, parallel=2)
-        assert parallel == sequential
-
-
-def _square(n):
-    """Module-level so the spawn pool can pickle it."""
-    return n * n
+    def test_slow_parent_does_not_report_finished_tasks_as_deaths(self):
+        # A parent that folds answers slowly must still see every answer
+        # a worker sent before it sees that worker exit.
+        tasks = fleet_grid(["ge_light"], [1, 2, 3, 4], scale=0.002)
+        fleet = run_fleet(tasks, workers=2, store=False,
+                          progress=lambda line: time.sleep(1.0))
+        assert fleet.ok
+        assert fleet.summary["rollup"]["tasks"]["total"] == 4
+        assert not [e for e in fleet.errors if e["kind"] == "worker-death"]

@@ -182,12 +182,13 @@ class TestListOrderingAndGc:
 class TestFleetSchema:
     @pytest.fixture(scope="class")
     def fleet_doc(self, tmp_path_factory):
-        from repro.experiments.fleet import run_sequential
+        from repro.experiments.fleet import run_fleet
         from repro.experiments.registry import fleet_grid
 
         runs_dir = tmp_path_factory.mktemp("fleet-store")
-        fleet = run_sequential(
+        fleet = run_fleet(
             fleet_grid(["ge_light"], [1], scale=0.005),
+            workers=1,
             runs_dir=str(runs_dir),
         )
         return fleet, runs_dir

@@ -116,8 +116,7 @@ class TestDiscreteGE:
         assert result.quality > 0.8
         # Every executed speed sits on the ladder.
         for core in h.machine.cores:
-            _, values = core.speed_timeline.as_arrays(h.sim.now)
-            for v in values:
+            for v in core.speed_timeline._values:
                 assert v == 0.0 or v in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 

@@ -33,14 +33,6 @@ def test_energy_is_sum_of_core_integrals():
     assert server.energy(4.0) == pytest.approx(45.0)
 
 
-def test_instantaneous_power():
-    sim = Simulator()
-    server = MulticoreServer(sim, m=2, budget=40.0)
-    j = job()
-    server.cores[0].set_plan([Segment(job=j, volume=4000.0, speed=2.0)])
-    assert server.instantaneous_power() == pytest.approx(20.0)
-
-
 def test_mean_speed_and_variance():
     sim = Simulator()
     server = MulticoreServer(sim, m=2, budget=40.0)

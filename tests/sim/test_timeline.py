@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.timeline import StepTimeline, merge_mean_timeline
+from repro.sim.timeline import StepTimeline
 
 
 def test_integral_of_constant():
@@ -33,18 +31,6 @@ def test_time_average():
     tl = StepTimeline(initial_value=0.0)
     tl.set_value(5.0, 10.0)
     assert tl.time_average(10.0) == pytest.approx(5.0)
-
-
-def test_time_variance_constant_is_zero():
-    tl = StepTimeline(initial_value=4.0)
-    assert tl.time_variance(7.0) == pytest.approx(0.0)
-
-
-def test_time_variance_two_level():
-    tl = StepTimeline(initial_value=0.0)
-    tl.set_value(5.0, 2.0)
-    # Half the time at 0, half at 2: mean 1, var 1.
-    assert tl.time_variance(10.0) == pytest.approx(1.0)
 
 
 def test_sample_right_continuous():
@@ -88,45 +74,3 @@ def test_sample_before_start_raises():
     tl = StepTimeline(start_time=10.0)
     with pytest.raises(SimulationError):
         tl.sample(5.0)
-
-
-def test_segments_clip_to_until():
-    tl = StepTimeline(initial_value=1.0)
-    tl.set_value(4.0, 2.0)
-    segs = list(tl.segments(6.0))
-    assert segs == [(0.0, 4.0, 1.0), (4.0, 6.0, 2.0)]
-
-
-def test_merge_mean_timeline():
-    a = StepTimeline(initial_value=0.0)
-    b = StepTimeline(initial_value=2.0)
-    a.set_value(5.0, 4.0)
-    merged = merge_mean_timeline([a, b], until=10.0)
-    assert merged.sample(0.0) == pytest.approx(1.0)
-    assert merged.sample(6.0) == pytest.approx(3.0)
-    assert merged.time_average(10.0) == pytest.approx((1.0 * 5 + 3.0 * 5) / 10)
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0.01, max_value=10.0),
-            st.floats(min_value=0.0, max_value=5.0),
-        ),
-        min_size=1,
-        max_size=20,
-    )
-)
-def test_variance_nonnegative_and_consistent(steps):
-    """Time variance is ≥ 0 and matches E[v²] − E[v]² on random steps."""
-    tl = StepTimeline(initial_value=1.0)
-    t = 0.0
-    for gap, value in steps:
-        t += gap
-        tl.set_value(t, value)
-    end = t + 1.0
-    var = tl.time_variance(end)
-    assert var >= 0.0
-    mean = tl.time_average(end)
-    second = tl.integral(end, transform=lambda v: v * v) / end
-    assert var == pytest.approx(second - mean * mean, abs=1e-9)

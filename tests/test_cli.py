@@ -337,7 +337,7 @@ def test_fleet_run_status_report_lifecycle(tmp_path, capsys):
     runs_dir = str(tmp_path / "runs")
     report = str(tmp_path / "fleet.html")
     assert main(["fleet", "run", "--scenarios", "ge_light", "--seeds", "1,2",
-                 "--scale", "0.005", "--sequential", "--runs-dir", runs_dir,
+                 "--scale", "0.005", "--workers", "1", "--runs-dir", runs_dir,
                  "--report", report, "--min-slo-compliance", "0.0"]) == 0
     out = capsys.readouterr().out
     assert "mode=sequential" in out
@@ -357,7 +357,7 @@ def test_fleet_run_status_report_lifecycle(tmp_path, capsys):
 
 def test_fleet_rejects_bad_grids(tmp_path, capsys):
     assert main(["fleet", "run", "--scenarios", "no_such", "--seeds", "1",
-                 "--no-store", "--sequential",
+                 "--no-store", "--workers", "1",
                  "--runs-dir", str(tmp_path)]) == 2
     assert "no_such" in capsys.readouterr().out
     assert main(["fleet", "status", "--runs-dir", str(tmp_path)]) == 2
