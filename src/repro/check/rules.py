@@ -123,27 +123,19 @@ _DETERMINISTIC = (
     "repro.obs",
 )
 
-#: SIM001 module allowlist — the sanctioned homes for host-clock reads:
+#: SIM001 module allowlist — the one sanctioned home for a host-clock
+#: read: ``repro.obs.runs``, the run registry, stamps stored artifacts
+#: with a wall-clock ``created_unix`` so humans can order store entries;
+#: the stamp is storage metadata, applied after the run finished, and
+#: never enters simulated time or a trace.
 #:
-#: * ``repro.obs.prof`` — the hot-path profiler reads the monotonic
-#:   clock to measure host wall time (scheduler overhead, planner
-#:   math) that is *written* to telemetry and never read back by
-#:   simulation logic, so it cannot perturb results;
-#: * ``repro.obs.runs`` — the run registry stamps stored artifacts
-#:   with a wall-clock ``created_unix`` so humans can order store
-#:   entries; the stamp is storage metadata, applied after the run
-#:   finished, and never enters simulated time.
-#:
-#: Code elsewhere must route timing through a
-#: :class:`repro.obs.prof.PhaseProfiler` instead of reading the clock —
-#: inline ``# simlint: ignore[SIM001]`` pragmas are no longer used in
-#: ``src/repro``.  In particular the *streaming* telemetry modules
-#: (``repro.obs.stream``, ``repro.obs.slo``) are deliberately NOT
-#: exempt: windowing and SLO evaluation are over simulated seconds
+#: Host timing of a run is measured from outside, by perfbench's ledger
+#: (``perfbench/run.py --trace 1``), so a traced run stays a pure
+#: function of config, seed and scheduler.  The *streaming* telemetry
+#: modules (``repro.obs.stream``, ``repro.obs.slo``) are deliberately
+#: not exempt: windowing and SLO evaluation are over simulated seconds
 #: only.  Documented in ``docs/static-analysis.md``.
-SIM001_MODULE_ALLOWLIST: FrozenSet[str] = frozenset(
-    {"repro.obs.prof", "repro.obs.runs"}
-)
+SIM001_MODULE_ALLOWLIST: FrozenSet[str] = frozenset({"repro.obs.runs"})
 
 _WALL_CLOCK: FrozenSet[str] = frozenset(
     {
@@ -483,8 +475,14 @@ def _check_layering(ctx: ModuleContext) -> Iterable[Finding]:
 
 
 def _check_fleet_confinement(ctx: ModuleContext) -> Iterable[Finding]:
-    """The fleet-specific half of SIM004 (see :data:`_FLEET_MODULES`)."""
-    if not _may_import_fleet(ctx.module):
+    """The fleet-specific half of SIM004 (see :data:`_FLEET_MODULES`).
+
+    The importer check runs only on modules without a
+    :data:`_LAYER_ALLOW` entry (``repro``, ``repro.validation``): no
+    listed layer may import ``repro.experiments``, so the layering
+    check already reports a layer's fleet import, once.
+    """
+    if _layer_of(ctx.module) not in _LAYER_ALLOW and not _may_import_fleet(ctx.module):
         for node, imported in _fleet_imports(ctx):
             yield ctx.finding(
                 "SIM004",
@@ -852,11 +850,10 @@ RULES: List[Rule] = [
             "Results must be a pure function of (config, seed): the paper's "
             "figures are time integrals over *simulated* time (§II-B, §IV-B). "
             "A wall-clock read couples output to host load. The only "
-            "exemptions are the SIM001_MODULE_ALLOWLIST modules: "
-            "repro.obs.prof (the phase profiler measures host-side "
-            "overhead that never feeds back into the simulation) and "
+            "exemption is the SIM001_MODULE_ALLOWLIST module "
             "repro.obs.runs (the run registry stamps stored artifacts "
-            "with a wall-clock creation time)."
+            "with a wall-clock creation time); host timing is measured "
+            "from outside by perfbench's ledger."
         ),
         applies=lambda ctx: (
             ctx.in_package(*_DETERMINISTIC)

@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runs_show = runs_sub.add_parser("show", help="show one stored run summary")
     runs_show.add_argument("run_id", help="run id (unique prefixes accepted)")
     runs_diff = runs_sub.add_parser(
-        "diff", help="diff two stored runs (results, SLOs, counters, phases)"
+        "diff", help="diff two stored runs (results, SLOs, counters)"
     )
     runs_diff.add_argument("a", help="baseline run id")
     runs_diff.add_argument("b", help="candidate run id")

@@ -31,7 +31,6 @@ from repro.core.cutting import WaterlineMemo, lf_cut_waterline
 from repro.core.load import ArrivalRateEstimator
 from repro.core.modes import ExecutionMode, ModeController
 from repro.core.planner import build_core_plan, core_power_demand, edf_sort
-from repro.obs.tracer import TracerLike
 from repro.units import PerSecond, QualityFrac, Seconds, Volume, WattsArray
 from repro.power.distribution import EqualSharing, PowerDistributionPolicy, WaterFilling
 from repro.server.scheduler import Scheduler
@@ -269,37 +268,16 @@ class GEScheduler(Scheduler):
     # The scheduling round
     # ------------------------------------------------------------------
     def reschedule(self) -> None:
-        """Run one full §III-E scheduling round at the current instant.
-
-        The round is profiled as the ``scheduler.round`` phase (with
-        ``cut.lf`` / ``power.distribute`` / ``planner.*`` nested inside
-        it); phase timers measure host wall time only and never feed
-        back into the schedule.
-        """
+        """Run one full §III-E scheduling round at the current instant."""
         if self.harness is None or self.controller is None or self._assignment is None:
             raise SchedulingError(
                 "GE scheduler used before bind(); attach it to a SimulationHarness first"
             )
-        tracer = self.harness.tracer
-        with tracer.profiler.phase("scheduler.round") as round_phase:
-            self._run_round(tracer)
-        if tracer.enabled:
-            tracer.metrics.histogram("scheduler.round_latency_ms", bound=10.0).observe(
-                round_phase.elapsed * 1e3
-            )
-
-    def _run_round(self, tracer: TracerLike) -> None:
-        # reschedule() already rejected unbound use; narrow for typing.
-        assert (
-            self.harness is not None
-            and self.controller is not None
-            and self._assignment is not None
-        )
         harness = self.harness
+        tracer = harness.tracer
         now = harness.sim.now
         machine = harness.machine
         tracing = tracer.enabled
-        prof = tracer.profiler
         queue_depth = len(harness.queue)
         self._reschedules += 1
 
@@ -346,8 +324,7 @@ class GEScheduler(Scheduler):
 
         # 3. Targets: LF cut in AES, full demands in BQ.
         all_jobs = [j for jobs in per_core for j in jobs]
-        with prof.phase("cut.lf"):
-            target_of = self._targets_for(all_jobs, mode)
+        target_of = self._targets_for(all_jobs, mode)
         if tracing and mode is ExecutionMode.AES and all_jobs:
             total_demand = sum(j.demand for j in all_jobs)
             total_target = sum(target_of[j.jid] for j in all_jobs)
@@ -367,18 +344,17 @@ class GEScheduler(Scheduler):
         # heterogeneous-machine extension; identical when homogeneous).
         # The branch is picked first: ES ignores the demand values, so
         # the per-core demand scan runs only for the WF branch.
-        with prof.phase("power.distribute"):
-            policy = self._policy_for(now)
-            if policy.needs_demands:
-                demands_w = self._power_demands(per_core, target_of, now, machine)
-            else:
-                demands_w = self._zero_demands
-            if self._failed_cores:
-                caps, dist_policy = self._distribute_alive(policy, demands_w, machine)
-            else:
-                distribution = policy.distribute(demands_w, machine.budget)
-                caps = distribution.caps
-                dist_policy = distribution.policy
+        policy = self._policy_for(now)
+        if policy.needs_demands:
+            demands_w = self._power_demands(per_core, target_of, now, machine)
+        else:
+            demands_w = self._zero_demands
+        if self._failed_cores:
+            caps, dist_policy = self._distribute_alive(policy, demands_w, machine)
+        else:
+            distribution = policy.distribute(demands_w, machine.budget)
+            caps = distribution.caps
+            dist_policy = distribution.policy
 
         if tracing and self._last_policy not in (None, dist_policy):
             tracer.scheduler_event(
@@ -403,44 +379,41 @@ class GEScheduler(Scheduler):
         quality_opt_calls = 0
         energy_opt_calls = 0
         caps_n = len(caps)
-        with prof.phase("planner.build"):
-            for idx, jobs in enumerate(per_core):
-                core = machine.cores[idx]
-                if not jobs:
-                    # Nothing to plan.  Clearing an already-idle core is
-                    # a no-op (the speed timeline dedupes same-value
-                    # writes), so only cores holding stale segments need
-                    # the call.
-                    if core.has_work:
-                        core.set_plan([])
-                    continue
-                cap = float(caps[idx]) if caps_n else 0.0
-                cap_memo = self._cap_memo[idx]
-                if cap_memo is not None and cap_memo[0] == cap:
-                    speed_cap, capacity = cap_memo[1], cap_memo[2]
-                else:
-                    speed_cap = machine.scales[idx].max_speed_at_power(cap)
-                    capacity = machine.models[idx].throughput(speed_cap)
-                    self._cap_memo[idx] = (cap, speed_cap, capacity)
-                plan = build_core_plan(
-                    jobs,
-                    [target_of[j.jid] for j in jobs],
-                    now,
-                    cap,
-                    machine.models[idx],
-                    machine.scales[idx],
-                    allocator=self._allocator,
-                    profiler=prof,
-                    speed_cap=speed_cap,
-                    capacity=capacity,
-                )
-                if tracing:
-                    quality_opt_calls += 1  # Quality-OPT runs once per planned core
-                    if plan.segments:
-                        energy_opt_calls += 1  # Energy-OPT ran on the survivors
-                core.set_plan(plan.segments)
-                for job, outcome in plan.settle_now:
-                    harness.settle_job(job, outcome)
+        for idx, jobs in enumerate(per_core):
+            core = machine.cores[idx]
+            if not jobs:
+                # Nothing to plan.  Clearing an already-idle core is a
+                # no-op (the speed timeline dedupes same-value writes),
+                # so only cores holding stale segments need the call.
+                if core.has_work:
+                    core.set_plan([])
+                continue
+            cap = float(caps[idx]) if caps_n else 0.0
+            cap_memo = self._cap_memo[idx]
+            if cap_memo is not None and cap_memo[0] == cap:
+                speed_cap, capacity = cap_memo[1], cap_memo[2]
+            else:
+                speed_cap = machine.scales[idx].max_speed_at_power(cap)
+                capacity = machine.models[idx].throughput(speed_cap)
+                self._cap_memo[idx] = (cap, speed_cap, capacity)
+            plan = build_core_plan(
+                jobs,
+                [target_of[j.jid] for j in jobs],
+                now,
+                cap,
+                machine.models[idx],
+                machine.scales[idx],
+                allocator=self._allocator,
+                speed_cap=speed_cap,
+                capacity=capacity,
+            )
+            if tracing:
+                quality_opt_calls += 1  # Quality-OPT runs once per planned core
+                if plan.segments:
+                    energy_opt_calls += 1  # Energy-OPT ran on the survivors
+            core.set_plan(plan.segments)
+            for job, outcome in plan.settle_now:
+                harness.settle_job(job, outcome)
 
         if tracing:
             metrics = tracer.metrics

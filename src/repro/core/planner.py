@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.core.energy_opt import yds_schedule
 from repro.core.quality_opt import quality_opt
-from repro.obs.prof import NULL_PROFILER, ProfilerLike
 from repro.power.dvfs import DiscreteSpeedScale, SpeedScale
 from repro.power.models import PowerModel
 from repro.units import Gigahertz, Seconds, Speed, VolumeSeq, Watts
@@ -110,7 +109,6 @@ def build_core_plan(
     model: PowerModel,
     scale: SpeedScale,
     allocator: Optional[Callable[..., np.ndarray]] = None,
-    profiler: ProfilerLike = NULL_PROFILER,
     *,
     speed_cap: Optional[Gigahertz] = None,
     capacity: Optional[Speed] = None,
@@ -132,10 +130,6 @@ def build_core_plan(
         ``jobs`` argument.  Defaults to the shared-quality-function
         Quality-OPT; the mixed-class extension substitutes a
         marginal-levelling variant (see :mod:`repro.mixed`).
-    profiler:
-        Phase profiler recording the ``planner.quality_opt`` and
-        ``planner.energy_opt`` wall-time phases; defaults to the
-        zero-cost null profiler.
     speed_cap, capacity:
         Optional precomputed ``scale.max_speed_at_power(power_cap)`` and
         ``model.throughput(speed_cap)``.  Both are pure functions of
@@ -164,18 +158,17 @@ def build_core_plan(
 
     # Second cut: fit the extras into the capacity before each deadline.
     deadlines = [j.deadline for j in jobs]
-    with profiler.phase("planner.quality_opt"):
-        if allocator is None:
-            granted = quality_opt(extras, deadlines, now, capacity, offsets=processed)
-        else:
-            granted = allocator(
-                jobs,
-                np.asarray(extras, dtype=float),
-                np.asarray(deadlines, dtype=float),
-                now,
-                capacity,
-                np.asarray(processed, dtype=float),
-            )
+    if allocator is None:
+        granted = quality_opt(extras, deadlines, now, capacity, offsets=processed)
+    else:
+        granted = allocator(
+            jobs,
+            np.asarray(extras, dtype=float),
+            np.asarray(deadlines, dtype=float),
+            now,
+            capacity,
+            np.asarray(processed, dtype=float),
+        )
     glist = granted.tolist() if isinstance(granted, np.ndarray) else list(granted)
 
     live_idx = [i for i in range(len(jobs)) if glist[i] > _WORK_EPS]
@@ -187,10 +180,7 @@ def build_core_plan(
 
     live_vols = [glist[i] for i in live_idx]
     live_dls = [deadlines[i] for i in live_idx]
-    with profiler.phase("planner.energy_opt"):
-        blocks = yds_schedule(
-            live_vols, live_dls, now, max_speed=capacity * (1 + 1e-9)
-        )
+    blocks = yds_schedule(live_vols, live_dls, now, max_speed=capacity * (1 + 1e-9))
 
     discrete = isinstance(scale, DiscreteSpeedScale)
     for block in blocks:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import signal
 import time
 import traceback
 from collections import deque
@@ -149,7 +150,12 @@ def _worker_main(conn: "Connection") -> None:
     error answer and the worker waits for the next task; only a hard
     death (``inject="exit"``, a kill) ends the loop early, and the
     parent sees it as the end of this worker's pipe.
+
+    Ctrl-C reaches the whole process group; the worker ignores it and
+    leaves it to the parent, which reports the interrupt and terminates
+    its workers on the way out.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     for task in iter(conn.recv, None):
         if task.inject == "exit":
             os._exit(43)

@@ -56,14 +56,12 @@ from repro.obs.export import (
     write_spans_csv,
     write_timeline_csv,
 )
-from repro.obs.prof import NULL_PROFILER, NullProfiler, PhaseHandle, PhaseProfiler
 from repro.obs.registry import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     P2Quantile,
-    PhaseTimer,
     QuantileSketch,
 )
 from repro.obs.report import render_fleet_report, render_report, write_report
@@ -91,7 +89,6 @@ from repro.obs.tracer import NULL_TRACER, Buffer, NullTracer, Sink, Trace, Trace
 
 __all__ = [
     "FLEET_SCHEMA",
-    "NULL_PROFILER",
     "NULL_TRACER",
     "TRACE_SCHEMA",
     "Buffer",
@@ -103,12 +100,8 @@ __all__ = [
     "JsonlSpill",
     "MetricsRegistry",
     "ModeInterval",
-    "NullProfiler",
     "NullTracer",
     "P2Quantile",
-    "PhaseHandle",
-    "PhaseProfiler",
-    "PhaseTimer",
     "QuantileSketch",
     "RunStore",
     "SLOSpec",

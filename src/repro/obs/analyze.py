@@ -203,20 +203,13 @@ def summarize(trace: Trace) -> str:
                 lines.append(f"  {name:<32} {snap['value']:g}")
             elif snap["kind"] == "gauge":
                 lines.append(f"  {name:<32} {snap['value']:g} (last)")
-            elif snap["kind"] == "phase":
-                lines.append(
-                    f"  {name:<32} n={snap['count']} "
-                    f"total={snap['total_s'] * 1e3:.2f} ms "
-                    f"mean={snap['mean_s'] * 1e6:.1f} µs "
-                    f"max={snap['max_s'] * 1e6:.1f} µs"
-                )
             elif snap["kind"] == "quantiles":
                 estimates = " ".join(
                     f"{label}={value:g}" if value is not None else f"{label}=-"
                     for label, value in snap["estimates"].items()
                 )
                 lines.append(f"  {name:<32} n={snap['count']} {estimates}")
-            else:
+            elif snap["kind"] == "histogram":
                 line = (
                     f"  {name:<32} n={snap['count']} mean={snap['mean']:g} "
                     f"min={snap['min']:g} max={snap['max']:g}"

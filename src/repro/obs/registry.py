@@ -4,8 +4,8 @@ The tracer carries one :class:`MetricsRegistry`; instrumented code
 requests named instruments lazily (``registry.counter("scheduler.rounds")``)
 so the set of metrics is defined by what actually ran.  Instruments are
 deliberately minimal — the registry is for *simulation* telemetry
-(queue depth, batch size, cut fraction, per-round latency), not a
-general monitoring system:
+(queue depth, batch size, cut fraction), not a general monitoring
+system:
 
 * :class:`Counter` — monotone count;
 * :class:`Gauge` — last-written value;
@@ -13,10 +13,7 @@ general monitoring system:
   buckets over ``[0, bound)`` for cheap shape inspection (with explicit
   overflow/underflow counts for values outside the bucket range);
 * :class:`QuantileSketch` — constant-memory P² percentile estimates
-  (no buckets to size, no raw samples retained);
-* :class:`PhaseTimer` — aggregated wall time of one profiled phase
-  (fed by :class:`repro.obs.prof.PhaseProfiler`, the only component
-  allowed to read the monotonic clock).
+  (no buckets to size, no raw samples retained).
 
 ``snapshot()`` renders everything to JSON-native dicts for export.
 """
@@ -31,7 +28,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "P2Quantile",
-    "PhaseTimer",
     "QuantileSketch",
 ]
 
@@ -310,48 +306,6 @@ class QuantileSketch:
         }
 
 
-class PhaseTimer:
-    """Aggregated wall time of one profiled phase.
-
-    Tracks call count plus total and max *elapsed wall seconds*.  The
-    values measure host-side cost (scheduler overhead, planner math) and
-    never feed back into simulated time — a run's results are identical
-    whatever these read.  Written by
-    :class:`repro.obs.prof.PhaseProfiler`; this class itself never
-    touches a clock.
-    """
-
-    __slots__ = ("name", "count", "total", "max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def record(self, elapsed: float) -> None:
-        """Add one timed call of ``elapsed`` wall seconds."""
-        self.count += 1
-        self.total += elapsed
-        if elapsed > self.max:
-            self.max = elapsed
-
-    @property
-    def mean(self) -> float:
-        """Mean wall seconds per call (0 when never called)."""
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-native state."""
-        return {
-            "kind": "phase",
-            "count": self.count,
-            "total_s": self.total,
-            "max_s": self.max,
-            "mean_s": self.mean,
-        }
-
-
 class MetricsRegistry:
     """Name → instrument map with get-or-create accessors."""
 
@@ -390,10 +344,6 @@ class MetricsRegistry:
         return self._get(
             name, lambda: QuantileSketch(name, qs=qs), QuantileSketch
         )
-
-    def phase_timer(self, name: str) -> PhaseTimer:
-        """Get or create the named phase timer."""
-        return self._get(name, lambda: PhaseTimer(name), PhaseTimer)
 
     def names(self) -> List[str]:
         """Registered metric names, sorted."""

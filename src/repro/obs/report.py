@@ -254,10 +254,6 @@ def _metrics_table(metrics: Dict[str, Any]) -> str:
                 f"{escape(label)}={_fmt(est, 4)}" for label, est in estimates.items()
             )
             value += f"  (n={snap.get('count', 0)})"
-        elif kind == "phase":
-            value = (f"n={snap.get('count', 0)} "
-                     f"total={_fmt(snap.get('total_s'), 4)}s "
-                     f"mean={_fmt(snap.get('mean_s'), 3)}s")
         else:  # histogram
             value = (f"n={snap.get('count', 0)} mean={_fmt(snap.get('mean'), 4)} "
                      f"min={_fmt(snap.get('min'), 4)} max={_fmt(snap.get('max'), 4)}")

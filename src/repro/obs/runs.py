@@ -33,8 +33,8 @@ is deterministic) and the store stays deduplicated.
 
 This module records **wall-clock** storage timestamps
 (``created_unix``) so humans can order store entries; that is why it
-is, with the phase profiler :mod:`repro.obs.prof`, one of the two
-sim-lint SIM001 exemptions, and it never touches simulated time.
+is the one sim-lint SIM001 exemption, and it never touches simulated
+time.
 """
 
 from __future__ import annotations
@@ -308,9 +308,8 @@ def diff_runs(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     """Structured comparison of two ``repro.run/1`` summaries.
 
     Sections: changed ``meta`` keys, numeric ``result`` deltas, per-SLO
-    compliance, counter deltas and phase-profile wall-time ratios.
-    Identical values are omitted from ``meta``/``counters`` so the diff
-    surfaces what moved.
+    compliance and counter deltas.  Identical values are omitted from
+    ``meta``/``counters`` so the diff surfaces what moved.
     """
     meta_a, meta_b = a.get("meta", {}), b.get("meta", {})
     meta_diff = {
@@ -354,22 +353,12 @@ def diff_runs(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
         if counters_a.get(name, {}).get("value") != counters_b.get(name, {}).get("value")
     }
 
-    phases_a, phases_b = _of_kind(metrics_a, "phase"), _of_kind(metrics_b, "phase")
-    phase_diff = {
-        name: _numeric_delta(
-            phases_a.get(name, {}).get("total_s"),
-            phases_b.get(name, {}).get("total_s"),
-        )
-        for name in sorted(set(phases_a) | set(phases_b))
-    }
-
     return {
         "runs": {"a": a.get("run_id"), "b": b.get("run_id")},
         "meta": meta_diff,
         "result": result_diff,
         "slo": slo_diff,
         "counters": counter_diff,
-        "phases": phase_diff,
     }
 
 
@@ -542,11 +531,4 @@ def format_diff(diff: Dict[str, Any]) -> str:
         lines.append("  counters (changed):")
         for name, row in diff["counters"].items():
             lines.append(f"    {name:<32} {_fmt(row['a'])} → {_fmt(row['b'])}")
-    if diff["phases"]:
-        lines.append("  phases (wall time, informational):")
-        for name, row in diff["phases"].items():
-            arrow = f"{_fmt(row['a'], 4)}s → {_fmt(row['b'], 4)}s"
-            if "ratio" in row:
-                arrow += f"  ({row['ratio']:.3g}x)"
-            lines.append(f"    {name:<32} {arrow}")
     return "\n".join(lines)

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.obs.prof import NULL_PROFILER, PhaseProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import EventRecord, SpanRecord
 from repro.obs.timeline import CoreTimelineSampler, TimelineSample
@@ -192,9 +191,6 @@ class Tracer:
         self.events = buffer.events
         self.samples = buffer.samples
         self.metrics = MetricsRegistry()
-        #: Hot-path phase profiler publishing into :attr:`metrics`
-        #: (``prof.*`` phase timers; see :mod:`repro.obs.prof`).
-        self.profiler = PhaseProfiler(self.metrics)
         self.meta: Dict[str, Any] = {}
         self._seq = 0
         self._next_span_id = 0
@@ -412,10 +408,6 @@ class NullTracer:
     __slots__ = ()
 
     enabled = False
-
-    #: Shared null profiler, so ``tracer.profiler.phase(...)`` is a
-    #: no-op without a guard (mirrors :attr:`Tracer.profiler`).
-    profiler = NULL_PROFILER
 
     begin_span = end_span = event = _null_hook
     job_arrived = job_assigned = job_cut = job_settled = _null_hook

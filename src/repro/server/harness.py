@@ -274,11 +274,7 @@ class SimulationHarness:
                 self.scheduler.quantum, self._quantum_tick,
                 priority=PRIORITY_LOW, name="quantum",
             )
-        # The phase covers the whole event loop (dispatch + scheduler
-        # work, which nests its own prof.* phases inside); divide by
-        # ``sim.events_processed`` for the events/sec rate.
-        with self.tracer.profiler.phase("sim.run"):
-            self.sim.run(until=self._drain_until)
+        self.sim.run(until=self._drain_until)
         self.scheduler.on_run_end()
         if self.tracer.enabled:
             self.tracer.metrics.gauge("sim.events_processed").set(

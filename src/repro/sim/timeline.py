@@ -4,7 +4,7 @@ Energy is the time integral of power, and the paper's Fig. 6 needs the
 time-average and time-variance of per-core speeds.  Cores change speed
 only at scheduling events, so every per-core signal is piecewise
 constant; :class:`StepTimeline` records the breakpoints and answers
-integral/average/sample queries exactly (no sampling error).
+integral/average queries exactly (no sampling error).
 """
 
 from __future__ import annotations
@@ -101,13 +101,6 @@ class StepTimeline:
         if span <= 0:
             return self._values[0]
         return self.integral(until) / span
-
-    def sample(self, time: Seconds) -> float:
-        """Value of the signal at ``time`` (right-continuous)."""
-        if time < self._times[0]:
-            raise SimulationError("sample before the timeline's start")
-        idx = int(np.searchsorted(np.asarray(self._times), time, side="right")) - 1
-        return self._values[idx]
 
     def __len__(self) -> int:
         return len(self._times)

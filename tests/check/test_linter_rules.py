@@ -3,6 +3,8 @@ snippet and stays quiet on the matching good snippet."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.check import lint_source
 
 
@@ -38,23 +40,17 @@ class TestSIM001WallClock:
 
     def test_obs_package_is_deterministic(self):
         # repro.obs joined the deterministic tree: telemetry must not
-        # read wall clocks ... except the sanctioned profiler module.
+        # read wall clocks ... except the run registry's storage stamp.
         src = "import time\n\ndef now() -> float:\n    return time.perf_counter()\n"
         assert "SIM001" in codes(src, "repro.obs.tracer")
 
-    def test_profiler_module_allowlisted(self):
-        from repro.check.rules import SIM001_MODULE_ALLOWLIST
-
-        assert "repro.obs.prof" in SIM001_MODULE_ALLOWLIST
-        src = "import time\n\ndef now() -> float:\n    return time.perf_counter()\n"
-        assert "SIM001" not in codes(src, "repro.obs.prof")
-
     def test_run_registry_module_allowlisted(self):
         # The run store stamps artifacts with a wall-clock created_unix;
-        # that is storage metadata, not simulated time.
+        # that is storage metadata, not simulated time.  It is the only
+        # exemption: nothing else in a traced run reads a clock.
         from repro.check.rules import SIM001_MODULE_ALLOWLIST
 
-        assert "repro.obs.runs" in SIM001_MODULE_ALLOWLIST
+        assert SIM001_MODULE_ALLOWLIST == {"repro.obs.runs"}
         src = "import time\n\ndef stamp() -> float:\n    return time.time()\n"
         assert "SIM001" not in codes(src, "repro.obs.runs")
 
@@ -152,6 +148,18 @@ class TestSIM004FleetConfinement:
         src = "from repro.experiments import fleet\n"
         assert "SIM004" in codes(src, "repro.metrics.collector")
 
+    @pytest.mark.parametrize("src", [
+        "from repro.experiments.fleet import run_fleet\n",
+        "from repro.experiments import fleet\n",
+        "import repro.experiments.fleet\n",
+    ], ids=["from-fleet", "from-experiments", "import-fleet"])
+    def test_fleet_import_is_reported_once(self, src):
+        for module in ("repro.core.ge", "repro.obs.stream", "repro.sim.engine",
+                       "repro.validation", "repro"):
+            assert codes(src, module).count("SIM004") == 1, module
+        for module in ("repro.cli", "repro.experiments.runner"):
+            assert "SIM004" not in codes(src, module)
+
     def test_experiments_and_cli_may_import_fleet(self):
         src = "from repro.experiments.fleet import run_fleet\n"
         assert "SIM004" not in codes(src, "repro.experiments.runner")
@@ -183,8 +191,8 @@ class TestSIM004FleetConfinement:
         assert "SIM004" not in codes(src, "repro.obs.stream")
 
     def test_streaming_telemetry_stays_unexempt(self):
-        # The wall-clock exemptions of the profiler and the run registry
-        # must not leak onto the simulated-time telemetry modules.
+        # The run registry's wall-clock exemption must not leak onto
+        # the simulated-time telemetry modules.
         from repro.check.rules import SIM001_MODULE_ALLOWLIST
 
         src = "import time\n\ndef now() -> float:\n    return time.time()\n"

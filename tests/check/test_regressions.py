@@ -64,7 +64,7 @@ class TestTimelineAnnotationsResolve:
 
         from repro.sim import timeline
 
-        for name in ("set_value", "integral", "time_average", "sample"):
+        for name in ("set_value", "integral", "time_average"):
             typing.get_type_hints(
                 getattr(timeline.StepTimeline, name), include_extras=True
             )

@@ -36,16 +36,14 @@ def grid_2x2():
 def strip_wall_clock(payload):
     """The comparable slice of a task payload: everything host-independent.
 
-    ``wall_s`` and the profiler's wall-clock phase totals are the only
-    host-dependent fields; the RunResult and all simulated telemetry
-    must match bit-for-bit across execution modes.
+    ``wall_s`` is the only host-dependent field; the RunResult and all
+    simulated telemetry, metrics included, must match bit-for-bit
+    across execution modes.
     """
-    summary = dict(payload["summary"])
-    summary.pop("metrics", None)
     return {
         "task": payload["task"],
         "result": payload["result"],
-        "summary": summary,
+        "summary": payload["summary"],
         "events": payload["events"],
     }
 

@@ -103,3 +103,15 @@ class TestSummarize:
 
     def test_empty_trace_does_not_crash(self):
         assert "records: 0 spans" in summarize(Trace())
+
+    def test_skips_unknown_metric_kinds(self):
+        # Older traces carry wall-time ``kind: "phase"`` timers; their
+        # other metrics still summarise.
+        trace = Trace(metrics={
+            "prof.sim.run": {"kind": "phase", "count": 1, "total_s": 0.25,
+                             "max_s": 0.25, "mean_s": 0.25},
+            "scheduler.rounds": {"kind": "counter", "value": 4.0},
+        })
+        text = summarize(trace)
+        assert "scheduler.rounds" in text
+        assert "prof.sim.run" not in text

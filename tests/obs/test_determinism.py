@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.core.ge import make_be, make_ge
-from repro.obs import Tracer
+from repro.obs import Tracer, write_jsonl
 from repro.server.harness import SimulationHarness
 
 
@@ -36,7 +36,9 @@ class TestTracingIsInvisible:
             config, make_be
         )
 
-    def test_traced_runs_are_repeatable(self):
+    def test_traced_runs_are_repeatable(self, tmp_path):
+        # A trace is a pure function of config, seed and scheduler: no
+        # field of it (meta and metrics included) reads the host.
         config = SimulationConfig(arrival_rate=140.0, horizon=4.0, seed=11)
         t1, t2 = Tracer(), Tracer()
         r1 = run_result(config, make_ge, tracer=t1)
@@ -46,3 +48,7 @@ class TestTracingIsInvisible:
         assert [s.to_record() for s in a.spans] == [s.to_record() for s in b.spans]
         assert [e.to_record() for e in a.events] == [e.to_record() for e in b.events]
         assert a.samples == b.samples
+        assert a == b
+        write_jsonl(t1, tmp_path / "a.jsonl")
+        write_jsonl(t2, tmp_path / "b.jsonl")
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()

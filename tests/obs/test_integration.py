@@ -94,21 +94,15 @@ class TestSchedulerEvents:
         assert metrics["scheduler.batch_size"]["count"] == scheduler.reschedules
         assert metrics["planner.quality_opt_calls"]["value"] > 0
         assert metrics["planner.energy_opt_calls"]["value"] > 0
-        assert metrics["scheduler.round_latency_ms"]["count"] == scheduler.reschedules
         assert metrics["scheduler.cut_fraction"]["max"] <= 1.0
 
-    def test_profiler_phases_populated(self, traced_run):
-        _, scheduler, tracer, result = traced_run
+    def test_traced_run_result_is_consistent(self, traced_run):
+        _, scheduler, _, result = traced_run
         assert result.scheduler == "GE"
         assert scheduler.reschedules > 0
         assert result.jobs == sum(result.outcomes.values())
         assert 0.0 <= result.quality <= 1.0
         assert result.energy > 0.0
-        # The profiler was on: the GE hot-path phases are populated.
-        metrics = tracer.to_trace().metrics
-        assert metrics["prof.scheduler.round"]["count"] == scheduler.reschedules
-        for phase in ("cut.lf", "planner.quality_opt", "sim.run"):
-            assert metrics[f"prof.{phase}"]["count"] > 0
 
 
 class TestCoreTimelines:

@@ -32,16 +32,6 @@ def stream_and_sanitize(config, scheduler):
     return tracer
 
 
-def host_free(summary):
-    """A stream summary without the metrics that time the host."""
-    out = dict(summary)
-    out["metrics"] = {
-        k: v for k, v in summary["metrics"].items()
-        if not k.startswith("prof.") and k != "scheduler.round_latency_ms"
-    }
-    return out
-
-
 @pytest.mark.parametrize("cls", [StreamingTracer, SanitizingTracer])
 def test_tracer_subclasses_define_no_hook(cls):
     assert issubclass(cls, Tracer)
@@ -58,7 +48,7 @@ class TestStreamAndSanitize:
         both = stream_and_sanitize(config, scheduler)
         result = SimulationHarness(config, scheduler, tracer=both).run()
         assert result == plain
-        assert host_free(both.summary()) == host_free(alone.summary())
+        assert both.summary() == alone.summary()
         (sanitizer,) = [s for s in both.sinks if isinstance(s, Sanitizer)]
         assert sanitizer.checks_run > 1000
 

@@ -143,13 +143,13 @@ class _CacheClearingGE(GEScheduler):
     """GE with every cross-round cache wiped at the top of each round:
     the control experiment proving the caches are pure memoization."""
 
-    def _run_round(self, tracer):
+    def reschedule(self):
         from repro.core.cutting import WaterlineMemo
 
         self._cap_memo = [None] * len(self._cap_memo)
         self._waterline_memo = WaterlineMemo()
         self._es._cache = None
-        super()._run_round(tracer)
+        super().reschedule()
 
 
 class TestPlanCacheSoundness:

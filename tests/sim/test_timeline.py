@@ -33,19 +33,10 @@ def test_time_average():
     assert tl.time_average(10.0) == pytest.approx(5.0)
 
 
-def test_sample_right_continuous():
-    tl = StepTimeline(initial_value=1.0)
-    tl.set_value(2.0, 9.0)
-    assert tl.sample(1.999) == 1.0
-    assert tl.sample(2.0) == 9.0
-    assert tl.sample(100.0) == 9.0
-
-
 def test_same_time_overwrite():
     tl = StepTimeline(initial_value=0.0)
     tl.set_value(1.0, 5.0)
     tl.set_value(1.0, 7.0)
-    assert tl.sample(1.0) == 7.0
     assert tl.integral(2.0) == pytest.approx(7.0)
 
 
@@ -68,9 +59,3 @@ def test_chronological_enforcement():
     tl.set_value(5.0, 1.0)
     with pytest.raises(SimulationError):
         tl.set_value(4.0, 2.0)
-
-
-def test_sample_before_start_raises():
-    tl = StepTimeline(start_time=10.0)
-    with pytest.raises(SimulationError):
-        tl.sample(5.0)

@@ -18,8 +18,8 @@ import pytest
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def spawn_cli(*argv, cwd):
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+def spawn_cli(*argv, cwd, **extra_env):
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"), **extra_env)
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", *argv],
         cwd=cwd, env=env, text=True,
@@ -102,3 +102,24 @@ class TestSigint:
         doc = store.load(run_id)
         assert doc["result"] is None
         assert doc["meta"]["interrupted"] is True
+
+    def test_interrupted_fleet_leaves_ctrl_c_to_the_parent(self, tmp_path):
+        proc = spawn_cli(
+            "fleet", "run", "--scenarios", "ge_light", "--seeds", "1,2,3,4",
+            "--scale", "0.05", "--workers", "2", "--no-store",
+            cwd=tmp_path, PYTHONUNBUFFERED="1",
+        )
+        try:
+            # Both workers are running tasks once the first one finishes.
+            first = proc.stdout.readline()
+            # Ctrl-C in a terminal signals the whole foreground group.
+            os.killpg(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert first.strip()
+        assert proc.returncode == 130
+        assert "fleet: interrupted" in stdout
+        assert stderr == ""
