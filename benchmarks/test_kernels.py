@@ -8,6 +8,8 @@ simulation scales.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.core.quality_opt import quality_opt
 from repro.power.distribution import water_fill
 from repro.quality.functions import ExponentialQuality
 from repro.sim.engine import Simulator
+from repro.sim.events import PRIORITY_LOW
 
 F = ExponentialQuality(c=0.003, x_max=1000.0)
 RNG = np.random.default_rng(0)
@@ -105,6 +108,46 @@ def test_bench_event_loop_throughput(benchmark):
         return count
 
     assert benchmark(run_10k_events) == 10_000
+
+
+#: Seeded event offsets for the churn case (s): deadlines and completions.
+_CHURN_RNG = np.random.default_rng(3)
+_DEADLINE_OFFSETS = _CHURN_RNG.uniform(0.05, 0.5, 4096).tolist()
+_COMPLETION_OFFSETS = _CHURN_RNG.uniform(0.0005, 0.02, 4096).tolist()
+
+
+def test_bench_event_heap_churn(benchmark):
+    """Heap churn shaped like a GE run.
+
+    About 2,000 deadline events stay pending (each one that fires queues
+    the next).  Every round of 1 ms replans 16 cores: each core's pending
+    completion is cancelled and pushed again, then the events due by the
+    end of the round fire.  The heap holds about 2,100 entries, cancelled
+    ones included, so every push and pop compares entries.
+    """
+    pending, cores, rounds = 2000, 16, 500
+
+    def run_rounds():
+        sim = Simulator()
+        nth = itertools.count().__next__
+
+        def deadline():
+            sim.schedule(_DEADLINE_OFFSETS[nth() % 4096], deadline, priority=PRIORITY_LOW)
+
+        for _ in range(pending):
+            deadline()
+        done = [sim.schedule(1.0, lambda: None, priority=PRIORITY_LOW) for _ in range(cores)]
+        for r in range(1, rounds + 1):
+            for c in range(cores):
+                done[c].cancel()
+                offset = _COMPLETION_OFFSETS[(r * cores + c) % 4096]
+                done[c] = sim.schedule(offset, lambda: None, priority=PRIORITY_LOW)
+            sim.run(until=r * 0.001)
+        return sim
+
+    sim = benchmark(run_rounds)
+    assert pending <= sim.pending_events <= pending + cores
+    assert sim.events_processed > pending
 
 
 def test_bench_ge_simulated_second(benchmark):

@@ -153,9 +153,12 @@ def _worker_main(conn: "Connection") -> None:
 
     Ctrl-C reaches the whole process group; the worker ignores it and
     leaves it to the parent, which reports the interrupt and terminates
-    its workers on the way out.
+    its workers on the way out.  The worker starts with SIGINT blocked
+    (see :func:`_run_workers`), so a Ctrl-C during its start-up stays
+    pending until it is ignored, and is then discarded.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     for task in iter(conn.recv, None):
         if task.inject == "exit":
             os._exit(43)
@@ -500,9 +503,13 @@ def _run_workers(
     without answering the task it holds died running that task.
     """
     import multiprocessing as mp
+    from multiprocessing import resource_tracker
     from multiprocessing.connection import wait
 
     ctx = mp.get_context("spawn")
+    # The first spawn launches multiprocessing's resource tracker, and
+    # that launch unblocks SIGINT here; launch it before the mask below.
+    resource_tracker.ensure_running()
     pending = deque(tasks)
     held: Dict[int, FleetTask] = {}
     processes: List["SpawnProcess"] = []
@@ -526,9 +533,17 @@ def _run_workers(
             process = ctx.Process(
                 target=_worker_main, args=(child_end,), daemon=True
             )
-            process.start()
+            # The child inherits the blocked mask, so a Ctrl-C while it
+            # imports cannot interrupt it before it ignores SIGINT.  Here
+            # the Ctrl-C is raised once the worker is on the list that
+            # the ``finally`` below terminates.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                process.start()
+                processes.append(process)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             child_end.close()
-            processes.append(process)
             conns[parent_end] = worker
             table[worker] = {"pid": process.pid, "exitcode": None}
             hand_out(worker, parent_end)

@@ -63,18 +63,32 @@ class PowerModel:
             raise ConfigurationError("units_per_ghz_second must be positive")
 
     # -- speed <-> power ---------------------------------------------------
-    # ``power`` and ``speed`` must stay on the numpy path even for scalar
-    # inputs: numpy's vectorized ``**`` loop and C's libm ``pow`` differ
-    # by an ulp on a few percent of inputs, and which one a 0-d operand
-    # hits depends on the expression shape (``arr**beta`` stays a 0-d
-    # ufunc call; ``(arr/a)**e`` demotes to ``np.float64`` first, whose
-    # ``**`` is libm).  A hand-written scalar shortcut would silently
-    # change simulated bits, so only the mul/div-only methods below take
-    # scalar fast paths — IEEE ``*`` and ``/`` are correctly rounded in
-    # every implementation, so scalar and array results are bitwise
-    # identical there (asserted in tests/power/test_models.py).
+    # A Python float takes a scalar path only where it returns the bits
+    # the NumPy path returns; numpy's vectorized ``**`` and C's libm
+    # ``pow`` differ by an ulp on a few percent of inputs, so which one
+    # the NumPy path hits decides what the float path may compute:
+    #
+    # * ``speed``: the division ``arr / a`` of a 0-d array demotes to
+    #   ``np.float64``, whose ``**`` is libm ``pow`` — exactly Python's
+    #   float ``**``, for every β.  ``math.sqrt`` is no stand-in for
+    #   ``** 0.5``: the two differ on about 0.1% of inputs.
+    # * ``power``: ``arr ** beta`` stays a 0-d ufunc call.  NumPy
+    #   evaluates ``** 2.0`` as ``np.square`` (its fast scalar-power
+    #   path), i.e. one correctly rounded ``s * s``; any other β keeps
+    #   the vectorized ``pow`` and therefore the NumPy path.
+    #
+    # ``np.float64`` values, ints and arrays always take the NumPy path.
+    # The mul/div-only methods below take scalar fast paths for floats
+    # and ints: IEEE ``*`` and ``/`` are correctly rounded in every
+    # implementation.  Every path is pinned bitwise against the array
+    # path in tests/power/test_models.py.
     def power(self, speed: GigahertzLike) -> WattsLike:
         """Dynamic power (W) at ``speed`` (GHz)."""
+        # Exactly NumPy's own test for its square fast path.
+        if type(speed) is float and self.beta == 2.0:  # simlint: ignore[SIM003]
+            if speed < 0:
+                raise ValueError("speed must be non-negative")
+            return self.a * (speed * speed)
         arr = np.asarray(speed, dtype=float)
         if np.any(arr < 0):
             raise ValueError("speed must be non-negative")
@@ -83,6 +97,10 @@ class PowerModel:
 
     def speed(self, power: WattsLike) -> GigahertzLike:
         """Highest speed (GHz) sustainable at ``power`` (W): inverse of P."""
+        if type(power) is float:
+            if power < 0:
+                raise ValueError("power must be non-negative")
+            return (power / self.a) ** (1.0 / self.beta)
         arr = np.asarray(power, dtype=float)
         if np.any(arr < 0):
             raise ValueError("power must be non-negative")

@@ -120,6 +120,7 @@ class Core:
         self._current: Optional[Segment] = None
         self._current_started: Seconds = 0.0
         self._completion: Optional[Event] = None
+        self._completion_name = f"core{index}-done"
         self._completed_volume: Volume = 0.0
         self._exec_span = None
 
@@ -160,7 +161,7 @@ class Core:
         """Total volume still planned (queued + in-flight remainder) for ``job``."""
         total = sum(s.volume for s in self._pending if s.job.jid == job.jid)
         if self._current is not None and self._current.job.jid == job.jid:
-            total += self._current.volume - self._progress_so_far()
+            total += self._current.volume - self._progress_so_far(self.sim.now)
         return total
 
     # ------------------------------------------------------------------
@@ -255,10 +256,10 @@ class Core:
     # ------------------------------------------------------------------
     # Internal execution machinery
     # ------------------------------------------------------------------
-    def _progress_so_far(self) -> Volume:
-        """Units processed by the in-flight segment up to now."""
+    def _progress_so_far(self, now: Seconds) -> Volume:
+        """Units processed by the in-flight segment up to ``now``."""
         assert self._current is not None
-        elapsed = self.sim.now - self._current_started
+        elapsed = now - self._current_started
         return min(
             self._current.volume,
             elapsed * self._current.speed * self.units_per_ghz_second,
@@ -268,7 +269,8 @@ class Core:
         """Stop the in-flight segment, crediting its progress; return it."""
         if self._current is None:
             return 0.0
-        done = self._progress_so_far()
+        now = self.sim.now
+        done = self._progress_so_far(now)
         if done > _VOLUME_EPS:
             self._current.job.add_progress(done)
             self._completed_volume += done
@@ -277,35 +279,36 @@ class Core:
             self._completion = None
         self._current = None
         if self._exec_span is not None:
-            self.tracer.exec_end(self._exec_span, self.sim.now, done)
+            self.tracer.exec_end(self._exec_span, now, done)
             self._exec_span = None
-        self.speed_timeline.set_value(self.sim.now, 0.0)
+        self.speed_timeline.set_value(now, 0.0)
         return done
 
     def _start_next(self, *, notify_idle_if_empty: bool) -> None:
+        now = self.sim.now
         while self._pending:
             seg = self._pending.pop(0)
             if seg.job.settled:
                 continue  # job expired/settled while waiting in the plan
-            remaining_window = seg.job.deadline - self.sim.now
+            remaining_window = seg.job.deadline - now
             if remaining_window <= 0:
                 continue  # cannot run past the deadline; expiry event settles it
             self._current = seg
-            self._current_started = self.sim.now
+            self._current_started = now
             if self.tracer.enabled:
                 self._exec_span = self.tracer.exec_start(
-                    seg.job, self.index, seg.speed, seg.volume, self.sim.now
+                    seg.job, self.index, seg.speed, seg.volume, now
                 )
-            self.speed_timeline.set_value(self.sim.now, seg.speed)
+            self.speed_timeline.set_value(now, seg.speed)
             duration = seg.duration(self.units_per_ghz_second)
             # Completion events run at low priority so that deadline
             # expiries and arrivals at the same instant are seen first.
             self._completion = self.sim.schedule(
-                duration, self._complete, priority=PRIORITY_LOW, name=f"core{self.index}-done"
+                duration, self._complete, priority=PRIORITY_LOW, name=self._completion_name
             )
             return
         # Out of work.
-        self.speed_timeline.set_value(self.sim.now, 0.0)
+        self.speed_timeline.set_value(now, 0.0)
         if notify_idle_if_empty and self.on_idle is not None:
             self.on_idle(self.index)
 

@@ -77,7 +77,7 @@ class Simulator:
         name: Optional[str] = None,
     ) -> Event:
         """Schedule ``callback`` to fire ``delay`` seconds from now."""
-        if delay < 0 or math.isnan(delay):
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative or NaN delay: {delay!r}")
         return self._queue.push(self._now + delay, callback, priority=priority, name=name)
 
@@ -110,15 +110,7 @@ class Simulator:
         Returns ``True`` if an event was fired, ``False`` if the agenda
         was empty.
         """
-        if not self._queue:
-            return False
-        event = self._queue.pop()
-        if event.time < self._now:  # pragma: no cover - internal invariant
-            raise SimulationError("event queue returned an event from the past")
-        self._now = event.time
-        self._events_processed += 1
-        event._fire()
-        return True
+        return self._fire_next(None)
 
     def run(self, until: Optional[Seconds] = None) -> None:
         """Run until the agenda drains or the clock passes ``until``.
@@ -133,13 +125,8 @@ class Simulator:
         self._running = True
         self._stopped = False
         try:
-            while not self._stopped:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
+            while not self._stopped and self._fire_next(until):
+                pass
         finally:
             self._running = False
         if until is not None and not self._stopped:
@@ -149,13 +136,19 @@ class Simulator:
                 )
             self._now = float(until)
 
+    def _fire_next(self, until: Optional[Seconds]) -> bool:
+        """Pop the earliest live event due by ``until``, advance the clock
+        to it and fire it; ``False`` when there is none."""
+        event = self._queue.pop_due(until)
+        if event is None:
+            return False
+        if event.time < self._now:  # pragma: no cover - internal invariant
+            raise SimulationError("event queue returned an event from the past")
+        self._now = event.time
+        self._events_processed += 1
+        event._fire()
+        return True
+
     def stop(self) -> None:
         """Request the current :meth:`run` to stop after this event."""
         self._stopped = True
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def compact(self) -> None:
-        """Drop cancelled events from the agenda (memory housekeeping)."""
-        self._queue.discard_cancelled()

@@ -1,10 +1,13 @@
 """Event primitives for the discrete-event kernel.
 
 An :class:`Event` is a future occurrence at a simulated time with an
-attached callback.  The :class:`EventQueue` is a binary heap ordered by
-``(time, priority, sequence)`` — the monotonically increasing sequence
-number makes event ordering (and therefore whole simulations) fully
-deterministic even when many events share a timestamp.
+attached callback.  The :class:`EventQueue` is a binary heap of
+``(time, priority, sequence, event)`` tuples — the monotonically
+increasing sequence number makes event ordering (and therefore whole
+simulations) fully deterministic even when many events share a
+timestamp.  Because the sequence number is unique, tuple comparison
+never reaches the :class:`Event`, so :mod:`heapq` orders the entries
+entirely in C; events themselves are not comparable.
 
 Cancellation is *lazy*: cancelled events stay in the heap but are
 skipped on pop.  This is the standard technique for heap-based agendas
@@ -94,22 +97,19 @@ class Event:
         return True
 
     def _fire(self) -> None:
-        if self._cancelled:  # pragma: no cover - guarded by EventQueue.pop
+        if self._cancelled:  # pragma: no cover - guarded by EventQueue.pop_due
             raise SimulationError(f"firing cancelled event {self!r}")
         self._fired = True
         self.callback()
-
-    # Heap ordering ----------------------------------------------------
-    def _key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._key() < other._key()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")
         label = self.name or getattr(self.callback, "__name__", "callback")
         return f"Event(t={self.time:.6f}, prio={self.priority}, {label}, {state})"
+
+
+#: One heap entry: ``(time, priority, seq, event)``.
+_Entry = tuple[float, int, int, Event]
 
 
 class EventQueue:
@@ -118,7 +118,7 @@ class EventQueue:
     __slots__ = ("_heap", "_counter", "_live")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[_Entry] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -138,14 +138,9 @@ class EventQueue:
     ) -> Event:
         """Insert a new event and return its handle."""
         event = Event(time, priority, next(self._counter), callback, name, queue=self)
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
         self._live += 1
         return event
-
-    def peek_time(self) -> Optional[Seconds]:
-        """Time of the earliest live event, or ``None`` if empty."""
-        self._drop_cancelled()
-        return self._heap[0].time if self._heap else None
 
     def pop(self) -> Event:
         """Remove and return the earliest live event.
@@ -155,22 +150,27 @@ class EventQueue:
         SimulationError
             If the queue holds no live events.
         """
-        self._drop_cancelled()
-        if not self._heap:
+        event = self.pop_due()
+        if event is None:
             raise SimulationError("pop from an empty event queue")
-        self._live -= 1
-        return heapq.heappop(self._heap)
+        return event
 
-    def discard_cancelled(self) -> None:
-        """Compact the heap by removing every cancelled entry.
+    def pop_due(self, until: Optional[Seconds] = None) -> Optional[Event]:
+        """Remove and return the earliest live event due by ``until``.
 
-        Useful for long simulations that cancel many timers; not needed
-        for correctness.
+        Cancelled entries at the top of the heap are dropped on the way.
+        Returns ``None`` when no live event is left, or when the earliest
+        one is later than ``until`` (it then stays queued).
         """
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
-
-    def _drop_cancelled(self) -> None:
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
+        while heap:
+            entry = heap[0]
+            if entry[3]._cancelled:
+                heapq.heappop(heap)
+            elif until is not None and entry[0] > until:
+                return None
+            else:
+                heapq.heappop(heap)
+                self._live -= 1
+                return entry[3]
+        return None

@@ -55,21 +55,21 @@ class StepTimeline:
         """Record that the signal takes ``value`` from ``time`` onwards."""
         time = float(time)
         last = self._times[-1]
-        if time < last:
-            raise SimulationError(
-                f"timeline updates must be chronological: {time} < {last}"
-            )
-        if value == self._values[-1] and time > last:
-            return  # no change: extend the current segment implicitly
-        if time == last:
+        if time > last:  # the common case: a new breakpoint
+            if value == self._values[-1]:
+                return  # no change: extend the current segment implicitly
+            self._times.append(time)
+            self._values.append(float(value))
+        elif time == last:
             self._values[-1] = float(value)
             # collapse if the previous segment had the same value
             if len(self._values) >= 2 and self._values[-2] == self._values[-1]:
                 self._times.pop()
                 self._values.pop()
-        else:
-            self._times.append(time)
-            self._values.append(float(value))
+        else:  # earlier than the last breakpoint, or NaN
+            raise SimulationError(
+                f"timeline updates must be chronological: {time} < {last}"
+            )
 
     # ------------------------------------------------------------------
     def integral(

@@ -46,6 +46,11 @@ class JobOutcome(enum.Enum):
         return self is not JobOutcome.PENDING
 
 
+#: Bound once: reading an enum member off its class is a slow lookup on
+#: CPython 3.11, and ``Job.settled`` runs on every plan step.
+_PENDING = JobOutcome.PENDING
+
+
 @dataclass
 class Job:
     """One service request.
@@ -111,7 +116,7 @@ class Job:
     @property
     def settled(self) -> bool:
         """Whether the job's outcome is final."""
-        return self.outcome.is_final
+        return self.outcome is not _PENDING
 
     def laxity(self, now: Seconds) -> Seconds:
         """Time left until the deadline (negative when expired)."""
@@ -128,7 +133,7 @@ class Job:
 
     def add_progress(self, volume: Volume) -> None:
         """Record ``volume`` processing units of execution."""
-        if self.settled:
+        if self.outcome is not _PENDING:
             raise ValueError(f"job {self.jid} is already settled ({self.outcome})")
         if volume < -_VOLUME_EPS:
             raise ValueError(f"job {self.jid}: negative progress {volume!r}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -99,14 +101,13 @@ def test_inverse_property(a, beta, s):
 
 
 class TestScalarArrayBitwise:
-    """The scalar fast paths must return the very same bits as the
-    vectorized path (the contract stated in power/models.py).  Only the
-    mul/div-only methods take scalar shortcuts: IEEE ``*`` and ``/`` are
-    correctly rounded everywhere, so scalar and array results agree
-    bitwise.  ``power``/``speed`` deliberately have NO scalar shortcut —
-    numpy's vectorized ``**`` and libm ``pow`` disagree by an ulp on a
-    few percent of inputs — so their scalar results must equal the
-    1-element-array results by construction."""
+    """The float fast paths must return the very same bits as the NumPy
+    path (the contract stated in power/models.py).  ``throughput`` and
+    ``speed_for_throughput`` only multiply and divide, which IEEE rounds
+    correctly everywhere.  ``power`` has a float path for β = 2 only,
+    where NumPy squares; ``speed`` has one for every β, where NumPy
+    demotes to ``np.float64`` and takes libm ``pow`` — Python's float
+    ``**``, and not ``math.sqrt``.  Any other input stays on NumPy."""
 
     def test_throughput_roundtrip_bitwise(self):
         rng = np.random.default_rng(42)
@@ -158,3 +159,45 @@ class TestScalarArrayBitwise:
     def test_np_float64_input_takes_array_path(self):
         s = np.float64(1.7)
         assert PAPER.power(s) == PAPER.power(float(s))
+
+    def test_power_float_path_matches_array_path_for_beta_2(self):
+        rng = np.random.default_rng(44)
+        speeds = (
+            rng.uniform(0.0, 10.0, 50_000).tolist()
+            + (10.0 ** rng.uniform(-320.0, 160.0, 50_000)).tolist()
+            + [0.0, -0.0, 5e-324, 1e-160, 1.35e154, math.inf]
+        )
+        with np.errstate(over="ignore", under="ignore"):
+            for s in speeds:
+                got = PAPER.power(s)
+                assert type(got) is float
+                assert got == float(PAPER.power(np.array([s]))[0]), s
+            other = PowerModel(a=3.7, beta=2.0)
+            assert [other.power(s) for s in speeds] == other.power(np.array(speeds)).tolist()
+        assert PAPER.power(1.35e154) == math.inf
+        assert math.copysign(1.0, PAPER.power(-0.0)) == 1.0
+
+    def test_speed_float_path_is_libm_pow_not_sqrt(self):
+        rng = np.random.default_rng(45)
+        a = PAPER.a
+        powers = rng.uniform(0.0, 1000.0, 100_000).tolist()
+        # Inputs where a ``math.sqrt`` rewrite would change the bits.
+        assert any(math.sqrt(p / a) != (p / a) ** 0.5 for p in powers)
+        for p in powers:
+            got = PAPER.speed(p)
+            assert got == (p / a) ** 0.5, p
+            assert got == PAPER.speed(np.float64(p)), p  # the NumPy path
+
+    def test_float_paths_reject_negatives_and_pass_nan(self):
+        cubic = PowerModel(a=5.0, beta=3.0)
+        for model in (PAPER, cubic):
+            for bad in (-1.0, -5e-324, -math.inf):
+                for arg in (bad, np.float64(bad), np.array([bad])):
+                    with pytest.raises(ValueError):
+                        model.power(arg)
+                    with pytest.raises(ValueError):
+                        model.speed(arg)
+            assert math.isnan(model.power(math.nan))
+            assert math.isnan(model.speed(math.nan))
+            assert math.isnan(model.power(np.float64(math.nan)))
+            assert math.isnan(model.speed(np.float64(math.nan)))

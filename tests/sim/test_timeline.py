@@ -59,3 +59,5 @@ def test_chronological_enforcement():
     tl.set_value(5.0, 1.0)
     with pytest.raises(SimulationError):
         tl.set_value(4.0, 2.0)
+    with pytest.raises(SimulationError):
+        tl.set_value(float("nan"), 2.0)

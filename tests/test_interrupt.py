@@ -40,6 +40,28 @@ def wait_for_spill(path, *, min_bytes=2000, timeout=60.0):
     raise AssertionError(f"spill file never reached {min_bytes} bytes")
 
 
+def wait_for_workers(pid, count, *, timeout=60.0):
+    """Block until process ``pid`` has ``count`` spawned fleet workers.
+
+    Its other child, multiprocessing's resource tracker, is not counted.
+    """
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with open(f"/proc/{pid}/task/{pid}/children", encoding="ascii") as fh:
+            children = fh.read().split()
+        workers = 0
+        for child in children:
+            try:
+                with open(f"/proc/{child}/cmdline", "rb") as fh:
+                    workers += b"spawn_main" in fh.read()
+            except FileNotFoundError:  # exited meanwhile
+                pass
+        if workers >= count:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} never had {count} fleet workers")
+
+
 @pytest.mark.slow
 class TestSigint:
     def test_interrupted_run_flushes_valid_jsonl(self, tmp_path):
@@ -120,6 +142,27 @@ class TestSigint:
                 proc.kill()
                 proc.communicate()
         assert first.strip()
+        assert proc.returncode == 130
+        assert "fleet: interrupted" in stdout
+        assert stderr == ""
+
+    def test_fleet_ctrl_c_while_workers_start_up_stays_quiet(self, tmp_path):
+        proc = spawn_cli(
+            "fleet", "run", "--scenarios", "ge_light", "--seeds", "1,2",
+            "--scale", "0.05", "--workers", "2", "--no-store",
+            cwd=tmp_path, PYTHONUNBUFFERED="1",
+        )
+        try:
+            wait_for_workers(proc.pid, 2)
+            # Both workers exist and are still importing: a Ctrl-C now
+            # must not reach them before they ignore it.
+            time.sleep(0.15)
+            os.killpg(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
         assert proc.returncode == 130
         assert "fleet: interrupted" in stdout
         assert stderr == ""
