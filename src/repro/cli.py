@@ -358,42 +358,76 @@ def _report_sanitizer(tracer) -> None:
             print(f"sanitizer: {sink.checks_run} invariant checks passed")
 
 
-def _emit_trace(tracer, *, out=None, timeline_csv=None, spans_csv=None,
-                summary=True) -> None:
-    """Print/export a finished tracer's telemetry."""
-    from repro.obs import summarize, write_jsonl, write_spans_csv, write_timeline_csv
+def _emit(tracer, result, *, out=None, timeline_csv=None, spans_csv=None,
+          store=False, runs_dir=None, summary=True) -> None:
+    """Export, store and print a finished run's telemetry.
 
-    trace = tracer.to_trace()
-    # Files first: a broken stdout pipe must not lose the artifacts.
-    if out:
-        lines = write_jsonl(trace, out)
-        print(f"wrote {lines} trace records to {out}")
-    if timeline_csv:
-        rows = write_timeline_csv(trace, timeline_csv)
-        print(f"wrote {rows} timeline samples to {timeline_csv}")
-    if spans_csv:
-        rows = write_spans_csv(trace, spans_csv)
-        print(f"wrote {rows} spans to {spans_csv}")
-    if summary:
-        print(summarize(trace))
-
-
-def _emit_stream(tracer, *, result, out=None, store=False, runs_dir=None,
-                 summary=True) -> None:
-    """Print (and optionally store) a finished streaming run's telemetry."""
+    A buffering tracer writes its JSONL/CSV files, then folds its own
+    trace; a streaming tracer has spilled and folded while it ran.
+    Either way the run prints the digest that ``trace show`` prints
+    for its JSONL file (:func:`repro.obs.runs.format_run`).
+    """
     from dataclasses import asdict
 
+    from repro.obs import (StreamingTracer, fold_records, write_jsonl,
+                           write_spans_csv, write_timeline_csv)
     from repro.obs.runs import RunStore, format_run, make_summary
 
-    if out:
-        print(f"wrote {tracer.spilled_records} trace records to {out}")
-    doc = make_summary(tracer.summary(), result=asdict(result))
+    streaming = isinstance(tracer, StreamingTracer)
+    if streaming:
+        if out:
+            print(f"wrote {tracer.spilled_records} trace records to {out}")
+    else:
+        trace = tracer.to_trace()
+        # Files first: a broken stdout pipe must not lose the artifacts.
+        if out:
+            lines = write_jsonl(trace, out)
+            print(f"wrote {lines} trace records to {out}")
+        if timeline_csv:
+            rows = write_timeline_csv(trace, timeline_csv)
+            print(f"wrote {rows} timeline samples to {timeline_csv}")
+        if spans_csv:
+            rows = write_spans_csv(trace, spans_csv)
+            print(f"wrote {rows} spans to {spans_csv}")
+    if not (summary or store):
+        return  # the fold of a long buffered trace is not free
+    telemetry = tracer.summary() if streaming else fold_records(trace).summary()
+    doc = make_summary(telemetry, result=asdict(result))
     if store:
         registry = RunStore(runs_dir)
         run_id = registry.save(doc, trace_path=out)
         print(f"stored run {run_id} in {registry.root}")
     if summary:
         print(format_run(doc))
+
+
+def _run_and_report(args, config: SimulationConfig, *, traced: bool,
+                    out: Optional[str], timeline_csv=None, spans_csv=None,
+                    summary: bool = True) -> int:
+    """Run ``args.scheduler`` on ``config``; print its row and telemetry.
+
+    Shared by ``run``, ``scenario`` and ``trace``.  ``traced`` asks
+    for a tracer and ``out`` names its JSONL file; ``--stream`` /
+    ``--store`` pick the streaming tracer and ``--sanitize`` adds the
+    invariant checks.  Returns the exit code (130 after Ctrl-C).
+    """
+    scheduler = _SCHEDULERS[args.scheduler]()
+    stream = args.stream or args.store
+    tracer = _new_tracer_if(traced, sanitize=args.sanitize, config=config,
+                            scheduler=scheduler, stream=stream, spill=out)
+    harness = SimulationHarness(config, scheduler, tracer=tracer)
+    try:
+        result = harness.run()
+    except KeyboardInterrupt:
+        return _interrupted(tracer, harness, out=out, store=args.store,
+                            runs_dir=args.runs_dir)
+    print(result.row())
+    _report_sanitizer(tracer)
+    if traced or stream:
+        _emit(tracer, result, out=out, timeline_csv=timeline_csv,
+              spans_csv=spans_csv, store=args.store, runs_dir=args.runs_dir,
+              summary=summary)
+    return 0
 
 
 def _interrupted(tracer, harness, *, out=None, store=False, runs_dir=None) -> int:
@@ -423,22 +457,6 @@ def _interrupted(tracer, harness, *, out=None, store=False, runs_dir=None) -> in
             run_id = registry.save(doc, trace_path=out)
             print(f"stored interrupted run {run_id} in {registry.root}")
     return 130
-
-
-def _fold_trace_file(path: str):
-    """Fold a JSONL trace file into a run-style summary (constant memory)."""
-    from repro.obs import fold_records, iter_jsonl
-
-    agg = fold_records(iter_jsonl(path))
-    telemetry = agg.snapshot()
-    meta = dict(agg.meta)
-    telemetry["metrics"] = agg.registry.snapshot()
-    return {
-        "run_id": str(meta.get("config_fingerprint", path)),
-        "meta": meta,
-        "result": None,
-        "telemetry": telemetry,
-    }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -471,26 +489,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             budget=args.budget,
             q_ge=args.q_ge,
         )
-        scheduler = _SCHEDULERS[args.scheduler]()
-        stream = args.stream or args.store
-        tracer = _new_tracer_if(args.trace or bool(args.trace_out),
-                                sanitize=args.sanitize, config=config,
-                                scheduler=scheduler, stream=stream,
-                                spill=args.trace_out)
-        harness = SimulationHarness(config, scheduler, tracer=tracer)
-        try:
-            result = harness.run()
-        except KeyboardInterrupt:
-            return _interrupted(tracer, harness, out=args.trace_out,
-                                store=args.store, runs_dir=args.runs_dir)
-        print(result.row())
-        _report_sanitizer(tracer)
-        if stream:
-            _emit_stream(tracer, result=result, out=args.trace_out,
-                         store=args.store, runs_dir=args.runs_dir)
-        elif tracer is not None and (args.trace or args.trace_out):
-            _emit_trace(tracer, out=args.trace_out)
-        return 0
+        return _run_and_report(args, config, traced=args.trace or bool(args.trace_out),
+                               out=args.trace_out)
 
     if args.command == "sweep":
         names = [n.strip().upper() for n in args.schedulers.split(",") if n.strip()]
@@ -522,26 +522,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _resolve_scenario(args.name),
             arrival_rate=args.rate, horizon=args.horizon, seed=args.seed,
         )
-        scheduler = _SCHEDULERS[args.scheduler]()
-        stream = args.stream or args.store
-        tracer = _new_tracer_if(args.trace or bool(args.trace_out),
-                                sanitize=args.sanitize, config=config,
-                                scheduler=scheduler, stream=stream,
-                                spill=args.trace_out)
-        harness = SimulationHarness(config, scheduler, tracer=tracer)
-        try:
-            result = harness.run()
-        except KeyboardInterrupt:
-            return _interrupted(tracer, harness, out=args.trace_out,
-                                store=args.store, runs_dir=args.runs_dir)
-        print(result.row())
-        _report_sanitizer(tracer)
-        if stream:
-            _emit_stream(tracer, result=result, out=args.trace_out,
-                         store=args.store, runs_dir=args.runs_dir)
-        elif tracer is not None and (args.trace or args.trace_out):
-            _emit_trace(tracer, out=args.trace_out)
-        return 0
+        return _run_and_report(args, config, traced=args.trace or bool(args.trace_out),
+                               out=args.trace_out)
 
     if args.command == "report":
         if args.run or args.trace:
@@ -561,7 +543,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     print(f"report: {exc}")
                     return 2
             else:
-                summary = _fold_trace_file(args.trace)
+                from repro.obs import fold_summary, iter_jsonl
+
+                summary = fold_summary(iter_jsonl(args.trace))
             out = args.out or "report.html"
             nbytes = write_report(summary, out)
             print(f"wrote HTML report ({nbytes} bytes) to {out}")
@@ -810,40 +794,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     horizon=args.horizon,
                     seed=args.seed,
                 )
-            scheduler = _SCHEDULERS[args.scheduler]()
-            stream = args.stream or args.store
-            if stream and (args.timeline_csv or args.spans_csv):
+            if (args.stream or args.store) and (args.timeline_csv or args.spans_csv):
                 print("--stream keeps no records to export as CSV; "
                       "drop --timeline-csv/--spans-csv or the stream flag")
                 return 2
-            tracer = _new_tracer_if(True, sanitize=args.sanitize,
-                                    config=config, scheduler=scheduler,
-                                    stream=stream, spill=args.out)
-            harness = SimulationHarness(config, scheduler, tracer=tracer)
-            try:
-                result = harness.run()
-            except KeyboardInterrupt:
-                return _interrupted(tracer, harness, out=args.out,
-                                    store=args.store, runs_dir=args.runs_dir)
-            print(result.row())
-            _report_sanitizer(tracer)
-            if stream:
-                _emit_stream(tracer, result=result, out=args.out,
-                             store=args.store, runs_dir=args.runs_dir,
-                             summary=not args.no_summary)
-            else:
-                _emit_trace(
-                    tracer,
-                    out=args.out,
-                    timeline_csv=args.timeline_csv,
-                    spans_csv=args.spans_csv,
-                    summary=not args.no_summary,
-                )
-            return 0
+            return _run_and_report(args, config, traced=True, out=args.out,
+                                   timeline_csv=args.timeline_csv,
+                                   spans_csv=args.spans_csv,
+                                   summary=not args.no_summary)
         if args.trace_command == "show":
-            from repro.obs.runs import format_run
+            from repro.obs import iter_jsonl, summarize
 
-            print(format_run(_fold_trace_file(args.path)))
+            print(summarize(iter_jsonl(args.path)))
             return 0
         if args.trace_command == "save":
             config = SimulationConfig(

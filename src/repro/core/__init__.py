@@ -26,7 +26,7 @@ from repro.core.cutting_general import lf_cut_mixed
 from repro.core.decisions import Decision, DecisionLog
 from repro.core.energy_opt import yds_schedule, yds_schedule_general
 from repro.core.ge import GEScheduler, make_be, make_ge, make_oq
-from repro.core.load import ArrivalRateEstimator, VolumeRateEstimator
+from repro.core.load import ArrivalRateEstimator
 from repro.core.modes import ExecutionMode, ModeController
 from repro.core.quality_opt import quality_opt
 
@@ -39,7 +39,6 @@ __all__ = [
     "GEScheduler",
     "ModeController",
     "RoundRobin",
-    "VolumeRateEstimator",
     "lf_cut_mixed",
     "lf_cut_stepwise",
     "lf_cut_waterline",

@@ -7,21 +7,17 @@ estimates the recent arrival rate with a sliding window.
 
 :class:`ArrivalRateEstimator` counts arrivals in a trailing window —
 O(1) amortized, exact over the window, and independent of job sizes.
-:class:`VolumeRateEstimator` measures offered *demand volume* per
-second instead, which transfers better across demand distributions;
-it is the documented alternative (DESIGN.md §5) and is exercised by the
-ablation benchmarks.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Tuple
+from typing import Deque
 
 from repro.errors import ConfigurationError
-from repro.units import PerSecond, Seconds, Speed, Volume
+from repro.units import PerSecond, Seconds
 
-__all__ = ["ArrivalRateEstimator", "VolumeRateEstimator"]
+__all__ = ["ArrivalRateEstimator"]
 
 
 class ArrivalRateEstimator:
@@ -63,39 +59,3 @@ class ArrivalRateEstimator:
         """Whether the estimated rate exceeds the critical load."""
         return self.rate(now) > critical_rate
 
-
-class VolumeRateEstimator:
-    """Sliding-window offered-demand estimate (units/second)."""
-
-    def __init__(self, window: Seconds = 2.0) -> None:
-        if window <= 0:
-            raise ConfigurationError(f"window must be positive, got {window!r}")
-        self.window = float(window)
-        self._events: Deque[Tuple[Seconds, Volume]] = deque()
-        self._sum: Volume = 0.0
-
-    def observe(self, time: Seconds, volume: Volume) -> None:
-        """Record a job arrival with its demand volume."""
-        if volume < 0:
-            raise ValueError("volume must be non-negative")
-        if self._events and time < self._events[-1][0]:
-            raise ValueError("arrival times must be non-decreasing")
-        self._events.append((time, volume))
-        self._sum += volume
-        self._evict(time)
-
-    def rate(self, now: Seconds) -> Speed:
-        """Offered units/second over the trailing window."""
-        self._evict(now)
-        return self._sum / self.window
-
-    def _evict(self, now: Seconds) -> None:
-        cutoff = now - self.window
-        events = self._events
-        while events and events[0][0] <= cutoff:
-            _, volume = events.popleft()
-            self._sum -= volume
-
-    def is_heavy(self, now: Seconds, critical_units_per_second: Speed) -> bool:
-        """Whether offered volume exceeds the critical level."""
-        return self.rate(now) > critical_units_per_second

@@ -16,7 +16,7 @@ Usage::
 
     tracer = Tracer()
     result = SimulationHarness(config, make_ge(), tracer=tracer).run()
-    print(summarize(tracer.to_trace()))
+    print(summarize(tracer.to_trace()))   # the run digest
     write_jsonl(tracer, "trace.jsonl")
 
 Tracing is off by default: every harness uses the shared
@@ -39,13 +39,6 @@ HTML dashboard (:mod:`repro.obs.report`)::
     summary = tracer.summary()          # windows, SLOs, utilization
 """
 
-from repro.obs.analyze import (
-    ModeInterval,
-    core_utilization,
-    job_stats,
-    mode_intervals,
-    summarize,
-)
 from repro.obs.export import (
     TRACE_SCHEMA,
     JsonlSpill,
@@ -83,6 +76,8 @@ from repro.obs.stream import (
     StreamingTracer,
     WindowSeries,
     fold_records,
+    fold_summary,
+    summarize,
 )
 from repro.obs.timeline import CoreTimelineSampler, TimelineSample
 from repro.obs.tracer import NULL_TRACER, Buffer, NullTracer, Sink, Trace, Tracer
@@ -99,7 +94,6 @@ __all__ = [
     "Histogram",
     "JsonlSpill",
     "MetricsRegistry",
-    "ModeInterval",
     "NullTracer",
     "P2Quantile",
     "QuantileSketch",
@@ -114,18 +108,16 @@ __all__ = [
     "Trace",
     "Tracer",
     "WindowSeries",
-    "core_utilization",
     "default_slos",
     "diff_runs",
     "fold_records",
+    "fold_summary",
     "format_diff",
     "format_fleet",
     "format_run",
     "format_runs_table",
     "iter_jsonl",
-    "job_stats",
     "make_summary",
-    "mode_intervals",
     "read_jsonl",
     "render_fleet_report",
     "render_report",

@@ -397,10 +397,15 @@ def format_runs_table(rows: List[Dict[str, Any]]) -> str:
 
 
 def format_run(summary: Dict[str, Any]) -> str:
-    """Render one stored summary as human-readable text."""
+    """Render one run summary as the run digest.
+
+    Every path prints it: buffered, streamed and stored runs and trace
+    files (:func:`repro.obs.stream.fold_summary`).  Blocks whose keys
+    an older stored summary lacks are left out.
+    """
     meta = summary.get("meta", {})
     telemetry = summary.get("telemetry") or {}
-    lines = [f"run {summary.get('run_id', '?')}"]
+    lines = [f"run {summary.get('run_id') or '?'}"]
     head = [
         f"scheduler={meta.get('scheduler', '?')}",
         f"λ={_fmt(meta.get('arrival_rate'), 4)}/s",
@@ -425,7 +430,7 @@ def format_run(summary: Dict[str, Any]) -> str:
             f"{slo.get('violations', '?')} violation(s)"
         )
         lines.append(f"  slo: {verdict}")
-        for name, row in (slo.get("slos") or {}).items():
+        for name, row in sorted((slo.get("slos") or {}).items()):
             mark = "ok " if row.get("compliant") else "VIOL"
             extra = ""
             violation = row.get("first_violation")
@@ -443,6 +448,60 @@ def format_run(summary: Dict[str, Any]) -> str:
             f"  records: {counts.get('span', 0)} spans, "
             f"{counts.get('event', 0)} events, {counts.get('sample', 0)} samples"
         )
+    jobs = telemetry.get("jobs") or {}
+    if jobs:
+        lines.append(f"  jobs ({sum(int(row['count']) for row in jobs.values())} settled):")
+        lines.extend(
+            f"    {outcome:<10} n={int(row['count']):<6} "
+            f"sojourn={row['mean_sojourn_s'] * 1e3:8.2f} ms  "
+            f"processed={row['mean_processed_fraction'] * 100:5.1f} %"
+            for outcome, row in jobs.items()
+        )
+    intervals = telemetry.get("mode_intervals") or []
+    if intervals:
+        totals = telemetry.get("mode_totals") or {}
+        aes_s, bq_s = totals.get("aes_s", 0.0), totals.get("bq_s", 0.0)
+        count = len(intervals) + int(totals.get("intervals_dropped", 0))
+        share = aes_s / (aes_s + bq_s) * 100 if aes_s + bq_s > 0 else 100.0
+        lines.append(f"  modes: {count} intervals, {int(totals.get('switches', 0))} "
+                     f"switches, AES {share:.1f} % of decided time")
+        lines.extend(
+            f"    [{i['start']:9.4f} → {i['end']:9.4f}] {i['mode']} "
+            f"({i['end'] - i['start']:.4f} s)"
+            for i in intervals[:12]
+        )
+        if count > 12:
+            lines.append(f"    ... {count - 12} more intervals")
+    cores = telemetry.get("core_utilization") or {}
+    if cores:
+        lines.append("  cores:")
+        lines.extend(
+            f"    core {int(core):<3} util={row['utilization'] * 100:5.1f} %  "
+            f"slices={int(row['slices']):<5} vol={row['volume']:10.1f}  "
+            f"E={row['energy']:10.2f} J"
+            for core, row in sorted(cores.items(), key=lambda item: int(item[0]))
+        )
+    metrics = telemetry.get("metrics") or {}
+    if metrics:
+        lines.append("  metrics:")
+        for name, snap in sorted(metrics.items()):
+            kind, label = snap.get("kind"), f"    {name:<32}"
+            if kind == "counter":
+                lines.append(f"{label} {snap['value']:g}")
+            elif kind == "gauge":
+                lines.append(f"{label} {snap['value']:g} (last)")
+            elif kind == "quantiles":
+                estimates = " ".join(f"{k}={v:g}" if v is not None else f"{k}=-"
+                                     for k, v in snap["estimates"].items())
+                lines.append(f"{label} n={snap['count']} {estimates}")
+            elif kind == "histogram":
+                # Out-of-range observations mean the bucket bound is
+                # mis-sized — make that visible, not just recorded.
+                over, under = snap.get("overflow", 0), snap.get("underflow", 0)
+                flag = f"  [overflow={over} underflow={under}]" if over or under else ""
+                lines.append(f"{label} n={snap['count']} mean={snap['mean']:g} "
+                             f"min={snap['min']:g} max={snap['max']:g}{flag}")
+            # Other kinds (older traces' wall-time "phase" timers) are skipped.
     return "\n".join(lines)
 
 

@@ -12,23 +12,28 @@ constant-memory alternative:
   how long the run is or how many records it emits;
 * :class:`StreamAggregator` — folds the trace streams (per-round
   ``decision`` events, per-core timeline samples, settle events, exec
-  spans) into those windows, P² quantile sketches
+  and job spans) into those windows, P² quantile sketches
   (:class:`repro.obs.registry.QuantileSketch`), online mode intervals,
-  per-core utilization and the online SLO monitors of
-  :mod:`repro.obs.slo`;
+  per-core utilization, per-outcome job stats and the online SLO
+  monitors of :mod:`repro.obs.slo`;
 * :class:`StreamingTracer` — a :class:`repro.obs.tracer.Tracer` whose
   sinks are a :class:`StreamAggregator` and, optionally, a
   :class:`repro.obs.export.JsonlSpill`: records are folded **instead of
-  buffered** (constant memory either way).
+  buffered** (constant memory either way);
+* :func:`fold_records` / :func:`fold_summary` / :func:`summarize` — the
+  same fold offline, over a trace or its JSONL records: the one trace
+  summariser behind the run digest (:func:`repro.obs.runs.format_run`).
 
 **Exactness.**  Each aggregation stream folds exactly one record kind
 in its emission order — decisions by ``seq``, sample batches
 chronologically, exec spans per-core in close order (a core runs one
 slice at a time, so close order equals open order) — and the offline
 :func:`fold_records` replays the very same fold over exported JSONL.
-Online and offline aggregates therefore agree *bit-for-bit*, including
-the P² sketches, which are pure functions of the observation sequence
-(pinned by ``tests/obs/test_stream.py``).
+Job spans close in settle order online but open order offline, so their
+sums are exact (:func:`_add_exact`).  Online and offline aggregates
+therefore agree *bit-for-bit*, including the P² sketches, which are pure
+functions of the observation sequence (pinned by
+``tests/obs/test_stream.py``).
 
 All windowing is in simulated seconds; nothing here reads a wall clock
 (sim-lint SIM001 applies to this module with no exemption).
@@ -36,10 +41,12 @@ All windowing is in simulated seconds; nothing here reads a wall clock
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.obs.export import JsonlSpill, trace_records
 from repro.obs.registry import MetricsRegistry, QuantileSketch
+from repro.obs.runs import RUN_SCHEMA, format_run, run_id_for
 from repro.obs.slo import SLOSpec, SLOTracker, default_slos
 from repro.obs.spans import EventRecord, SpanRecord
 from repro.obs.timeline import TimelineSample
@@ -52,6 +59,8 @@ __all__ = [
     "StreamingTracer",
     "WindowSeries",
     "fold_records",
+    "fold_summary",
+    "summarize",
 ]
 
 #: Default number of tumbling windows the horizon is divided into.
@@ -181,6 +190,23 @@ class WindowSeries:
         }
 
 
+def _add_exact(partials: List[float], x: float) -> None:
+    """Add ``x`` to a sum kept as exact non-overlapping ``partials``
+    (Shewchuk's algorithm, as in :func:`math.fsum`): ``math.fsum(partials)``
+    is then the correctly rounded sum, whatever the order of the terms."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 def _window_width(meta: Dict[str, Any]) -> Seconds:
     horizon = float(meta.get("horizon") or 0.0)
     if horizon <= 0:
@@ -201,14 +227,14 @@ class StreamAggregator(Sink):
     * :meth:`on_sample_batch` — one quantum boundary's per-core
       timeline samples;
     * :meth:`on_span_close` — a closed span (exec slices fold into
-      per-core utilization);
+      per-core utilization, job spans into per-outcome job stats);
     * :meth:`finish` — close time-weighted accumulators at run end and
       put the SLO summary in ``meta["slo"]``.
 
     The streams are independent — no accumulator mixes records of two
     kinds — which is why the offline replay (whose canonical JSONL
     groups samples after events) folds each stream in exactly the
-    online order.
+    online order (job sums are exact, so their order does not matter).
     """
 
     def __init__(
@@ -234,12 +260,16 @@ class StreamAggregator(Sink):
         self.record_counts: Dict[str, int] = {"span": 0, "event": 0, "sample": 0}
         self.chaos_events: List[Dict[str, Any]] = []
         self.chaos_dropped = 0
+        #: Metric records of a replayed trace (:func:`fold_records`).
+        self.trace_metrics: Dict[str, Dict[str, Any]] = {}
         self._started = False
         self._finished = False
         self._mode: Optional[str] = None
         self._mode_start = 0.0
         self._last_decision: Optional[float] = None
         self._cores: Dict[int, Dict[str, float]] = {}
+        # outcome -> [count, Σ sojourn partials, Σ processed/demand partials]
+        self._jobs: Dict[str, List[Any]] = {}
         self._gap_sketch: Optional[QuantileSketch] = None
         self._end: Optional[float] = None
 
@@ -350,18 +380,27 @@ class StreamAggregator(Sink):
         self.slo.on_power(time, total_power)
 
     def on_span_close(self, span: SpanRecord) -> None:
-        """Fold one closed span (exec slices feed per-core totals)."""
+        """Fold one closed span (exec slices into per-core totals, jobs
+        into their outcome's count, sojourn and processed fraction)."""
         self._require_started()
         self.record_counts["span"] += 1
-        if span.name != "exec" or span.end is None:
+        if span.end is None:
             return
-        core = int(span.attrs["core"])
-        row = self._cores.setdefault(
-            core, {"busy": 0.0, "slices": 0.0, "volume": 0.0, "energy": 0.0}
-        )
-        row["busy"] += span.end - span.start
-        row["slices"] += 1
-        row["volume"] += float(span.attrs.get("done", 0.0))
+        attrs = span.attrs
+        if span.name == "exec":
+            row = self._cores.setdefault(
+                int(attrs["core"]), {"busy": 0.0, "slices": 0.0, "volume": 0.0, "energy": 0.0}
+            )
+            row["busy"] += span.end - span.start
+            row["slices"] += 1
+            row["volume"] += float(attrs.get("done", 0.0))
+        elif span.name == "job":
+            job = self._jobs.setdefault(str(attrs.get("outcome", "open")), [0, [], []])
+            job[0] += 1
+            _add_exact(job[1], span.end - span.start)
+            demand = float(attrs.get("demand", 0.0))
+            if demand > 0:
+                _add_exact(job[2], float(attrs.get("processed", 0.0)) / demand)
 
     def finish(self, end: Seconds) -> None:
         """Close all time-weighted accumulators at simulated ``end``."""
@@ -396,8 +435,9 @@ class StreamAggregator(Sink):
     def core_utilization(self) -> Dict[int, Dict[str, float]]:
         """Per-core busy/slices/volume/energy/utilization.
 
-        Same shape as :func:`repro.obs.analyze.core_utilization`, built
-        incrementally instead of from a materialized trace.
+        Busy time, slices and volume come from closed exec spans, energy
+        from the core's last timeline sample; utilization divides busy
+        time by the run duration (0 when the duration is unknown).
         """
         start = float(self.meta.get("start", 0.0))
         end = self._end if self._end is not None else start
@@ -424,7 +464,23 @@ class StreamAggregator(Sink):
             "record_counts": dict(self.record_counts),
             "chaos_events": [dict(e) for e in self.chaos_events],
             "chaos_dropped": self.chaos_dropped,
+            "jobs": {
+                outcome: {
+                    "count": count,
+                    "mean_sojourn_s": math.fsum(sojourns) / count,
+                    "mean_processed_fraction": math.fsum(fractions) / count,
+                }
+                for outcome, (count, sojourns, fractions) in sorted(self._jobs.items())
+            },
         }
+
+    def summary(self) -> Dict[str, Any]:
+        """:meth:`snapshot` plus ``meta`` and ``metrics`` (the registry's,
+        updated with :attr:`trace_metrics`): what ``make_summary`` takes."""
+        telemetry = self.snapshot()
+        telemetry["meta"] = dict(self.meta)
+        telemetry["metrics"] = {**self.registry.snapshot(), **self.trace_metrics}
+        return telemetry
 
 
 class StreamingTracer(Tracer):
@@ -477,15 +533,12 @@ class StreamingTracer(Tracer):
     def summary(self) -> Dict[str, Any]:
         """The run's full streaming summary (JSON-native).
 
-        Window series, mode intervals, per-core utilization, SLO
-        compliance, record counts, the metrics snapshot and the run
+        Window series, mode intervals, per-core utilization, job stats,
+        SLO compliance, record counts, the metrics snapshot and the run
         metadata — everything ``repro report`` and the run registry
-        consume.
+        consume.  The aggregator shares the tracer's metadata and registry.
         """
-        telemetry = self.aggregator.snapshot()
-        telemetry["meta"] = dict(self.meta)
-        telemetry["metrics"] = self.metrics.snapshot()
-        return telemetry
+        return self.aggregator.summary()
 
 
 def fold_records(
@@ -504,7 +557,8 @@ def fold_records(
     into per-boundary batches: cores are sampled in ascending index
     order, so a batch ends when the core index stops increasing (two
     consecutive batches may share a timestamp at the drain boundary,
-    so time alone cannot delimit them).  Returns the finished
+    so time alone cannot delimit them).  Metric records are kept in
+    :attr:`~StreamAggregator.trace_metrics`.  Returns the finished
     aggregator, whose :meth:`~StreamAggregator.snapshot` equals the
     online one of a :class:`StreamingTracer` on the same run exactly.
     """
@@ -543,8 +597,31 @@ def fold_records(
             span = SpanRecord.from_record(record)
             if span.end is not None:
                 agg.on_span_close(span)
+        elif rtype == "metric":
+            agg.trace_metrics[record["name"]] = {
+                k: v for k, v in record.items() if k not in ("type", "name")
+            }
     flush_samples()
     if end is None:
         end = float(agg.meta.get("end", agg.meta.get("start", 0.0)))
     agg.finish(end)
     return agg
+
+
+def fold_summary(records: Union[Trace, Iterable[Dict[str, Any]]]) -> Dict[str, Any]:
+    """Fold a trace into a ``repro.run/1`` summary with ``result: None``,
+    under its run's id (``None`` without a config fingerprint)."""
+    telemetry = fold_records(records).summary()
+    meta = telemetry.pop("meta")
+    return {
+        "schema": RUN_SCHEMA,
+        "run_id": run_id_for(meta) if meta.get("config_fingerprint") else None,
+        "meta": meta,
+        "result": None,
+        "telemetry": telemetry,
+    }
+
+
+def summarize(records: Union[Trace, Iterable[Dict[str, Any]]]) -> str:
+    """The run digest of a trace (:func:`repro.obs.runs.format_run`)."""
+    return format_run(fold_summary(records))

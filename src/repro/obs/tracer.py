@@ -57,7 +57,7 @@ class Trace:
     """An immutable-ish bundle of one run's telemetry.
 
     This is what exporters write and :func:`repro.obs.export.read_jsonl`
-    reconstructs; :mod:`repro.obs.analyze` consumes it.
+    reconstructs; :func:`repro.obs.stream.fold_records` summarises it.
     """
 
     def __init__(
@@ -171,7 +171,7 @@ class Tracer:
 
     A tracer is single-use: attach it to one
     :class:`repro.server.harness.SimulationHarness`, run, then export or
-    analyze :meth:`to_trace`.
+    summarise :meth:`to_trace` (:func:`repro.obs.stream.summarize`).
 
     Parameters
     ----------

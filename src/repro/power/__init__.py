@@ -3,7 +3,7 @@
 * :mod:`repro.power.models` — the convex dynamic-power model
   ``P = a·s^β`` of §II-B with its inverse, and energy helpers.
 * :mod:`repro.power.dvfs` — continuous and discrete speed scaling
-  (speed ladders and the paper's §IV-A-5 rectification procedure).
+  (speed ladders and the rounding of the paper's §IV-A-5 rectification).
 * :mod:`repro.power.distribution` — the Equal-Sharing and
   Water-Filling policies of §III-D (GE switches between them).
 """

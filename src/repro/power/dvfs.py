@@ -2,9 +2,10 @@
 
 The main experiments use *continuous* per-core DVFS (any non-negative
 speed).  §IV-A-5/Fig. 12 studies *discrete* speed scaling: cores only
-run at levels from a fixed ladder, and the paper's rectification rule
-rounds each core's water-filled speed **up** to the nearest level when
-the budget allows, else down to the next lower level.
+run at levels from a fixed ladder.  A core's power cap maps down to a
+level (:meth:`SpeedScale.max_speed_at_power`), and the planner rounds
+each YDS step **up** to the nearest level (:meth:`SpeedScale.ceil`)
+without exceeding that cap.
 
 :class:`SpeedScale` is the shared interface; the server's executor only
 calls :meth:`quantize` and :meth:`max_speed_at_power`, so schedulers
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.power.models import PowerModel
-from repro.units import Gigahertz, GigahertzArray, GigahertzSeq, PowerBudget, Watts
+from repro.units import Gigahertz, GigahertzSeq, Watts
 
 __all__ = ["SpeedScale", "ContinuousSpeedScale", "DiscreteSpeedScale"]
 
@@ -121,11 +122,6 @@ class DiscreteSpeedScale(SpeedScale):
         idx = min(idx, self.levels.size - 1)
         return float(self.levels[idx])
 
-    def next_below(self, speed: Gigahertz) -> Gigahertz:
-        """Largest level strictly below ``speed`` (0 if none)."""
-        idx = int(np.searchsorted(self.levels, speed - 1e-12, side="left")) - 1
-        return 0.0 if idx < 0 else float(self.levels[idx])
-
     def max_speed_at_power(self, power: Watts) -> Gigahertz:
         return self.quantize(self.model.speed(power))
 
@@ -133,35 +129,3 @@ class DiscreteSpeedScale(SpeedScale):
     def top_speed(self) -> Gigahertz:
         return float(self.levels[-1])
 
-    def rectify(self, speeds: GigahertzArray, budget: PowerBudget) -> GigahertzArray:
-        """The paper's §IV-A-5 discrete rectification.
-
-        Starting from the core with the lowest assigned speed, round
-        each ideal speed up to the nearest ladder level if the total
-        budget still allows it, otherwise round down to the next lower
-        level.  Returns the rectified speed vector.
-        """
-        speeds = np.asarray(speeds, dtype=float)
-        out = np.zeros_like(speeds)
-        order = np.argsort(speeds, kind="stable")
-        committed = 0.0  # power already granted to processed cores
-        remaining_ideal = float(np.sum(self.model.power(speeds)))
-        for rank, idx in enumerate(order):
-            ideal = speeds[idx]
-            remaining_ideal -= float(self.model.power(ideal))
-            if ideal <= 0:
-                continue
-            up = self.ceil(ideal)
-            # Budget check: committed + this core at `up` + ideal needs
-            # of the cores not yet processed must fit in the budget.
-            if committed + self.model.power(up) + remaining_ideal <= budget + 1e-9:
-                chosen = up
-            else:
-                chosen = self.quantize(ideal)
-                # If even rounding down overshoots (can happen when the
-                # ladder is coarse and budget tight), drop another level.
-                while chosen > 0 and committed + self.model.power(chosen) > budget + 1e-9:
-                    chosen = self.next_below(chosen)
-            out[idx] = chosen
-            committed += float(self.model.power(chosen))
-        return out

@@ -25,8 +25,6 @@ from repro.units import (
     Seconds,
     SpeedLike,
     UnitsPerGhzSecond,
-    Volume,
-    Watts,
     WattsLike,
 )
 
@@ -125,24 +123,9 @@ class PowerModel:
         return float(out) if np.isscalar(units_per_second) or arr.ndim == 0 else out
 
     # -- derived quantities --------------------------------------------------
-    def power_for_work(self, volume: Volume, duration: Seconds) -> Watts:
-        """Power (W) to process ``volume`` units in ``duration`` seconds."""
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration!r}")
-        return self.power(self.speed_for_throughput(volume / duration))
-
     def energy(self, speed: Gigahertz, duration: Seconds) -> Joules:
         """Energy (J) of running at ``speed`` GHz for ``duration`` s."""
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration!r}")
         return self.power(speed) * duration
 
-    def energy_for_volume(self, volume: Volume, speed: Gigahertz) -> Joules:
-        """Energy (J) to process ``volume`` units at constant ``speed``.
-
-        Because P is convex with β > 1, this is increasing in speed:
-        E = P(s)·(v / throughput(s)) = a·v/u · s^{β−1}.
-        """
-        if speed <= 0:
-            raise ValueError(f"speed must be positive, got {speed!r}")
-        return self.power(speed) * volume / self.throughput(speed)

@@ -11,17 +11,12 @@ achieved by full processing, so ``Q ∈ [0, 1]``.
 
 from __future__ import annotations
 
-from typing import Annotated, Iterable
-
 import numpy as np
 
 from repro.quality.functions import QualityFunction
-from repro.units import Dimensionless, QualityFrac, Unit, VolumeArray, VolumeSeq
+from repro.units import Dimensionless, QualityFrac, VolumeArray, VolumeSeq
 
-#: Iterables of per-job volumes (processing units).
-VolumeIter = Annotated[Iterable[float], Unit("unit")]
-
-__all__ = ["aggregate_quality", "quality_ratio", "projected_quality_after_cut"]
+__all__ = ["aggregate_quality", "quality_ratio"]
 
 
 def quality_ratio(achieved: Dimensionless, potential: Dimensionless) -> QualityFrac:
@@ -56,24 +51,3 @@ def aggregate_quality(
     potential = float(np.sum(f(demands_arr)))
     return quality_ratio(achieved, potential)
 
-
-def projected_quality_after_cut(
-    f: QualityFunction,
-    targets: VolumeIter,
-    demands: VolumeIter,
-    base_achieved: Dimensionless = 0.0,
-    base_potential: Dimensionless = 0.0,
-) -> QualityFrac:
-    """Quality if jobs are processed to ``targets``, on top of history.
-
-    ``base_achieved``/``base_potential`` carry Σf over already-settled
-    jobs so the cut can be evaluated against the *cumulative* quality
-    the monitor tracks, not just the batch in hand.
-    """
-    targets_arr = np.asarray(list(targets), dtype=float)
-    demands_arr = np.asarray(list(demands), dtype=float)
-    achieved = base_achieved + float(np.sum(f(targets_arr))) if targets_arr.size else base_achieved
-    potential = (
-        base_potential + float(np.sum(f(demands_arr))) if demands_arr.size else base_potential
-    )
-    return quality_ratio(achieved, potential)

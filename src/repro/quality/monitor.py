@@ -6,19 +6,13 @@ and BQ modes.  :class:`QualityMonitor` maintains the cumulative sums
 ``Σ f(c_j)`` and ``Σ f(p_j)`` over *settled* jobs — jobs whose outcome
 is final because they completed, were cut short deliberately, or
 expired at their deadline.
-
-The monitor also supports *projection*: given the volumes a tentative
-plan would deliver, it reports the quality the system would land at,
-which is what the LF cutting routine optimizes against.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
-import numpy as np
-
-from repro.quality.aggregate import VolumeIter, quality_ratio
+from repro.quality.aggregate import quality_ratio
 from repro.quality.functions import QualityFunction
 from repro.units import Dimensionless, QualityFrac, Seconds, Volume
 
@@ -118,25 +112,6 @@ class QualityMonitor:
         achieved = sum(float(self.f(j.processed)) for j in jobs)
         potential = sum(float(self.f(j.demand)) for j in jobs)
         return quality_ratio(achieved, potential)
-
-    def projected(self, targets: VolumeIter, demands: VolumeIter) -> QualityFrac:
-        """Quality if a batch is delivered at ``targets`` on top of history."""
-        targets_arr = np.asarray(list(targets), dtype=float)
-        demands_arr = np.asarray(list(demands), dtype=float)
-        achieved = self._achieved
-        potential = self._potential
-        if targets_arr.size:
-            achieved = achieved + float(np.sum(self.f(targets_arr)))
-            potential = potential + float(np.sum(self.f(demands_arr)))
-        return quality_ratio(achieved, potential)
-
-    def deficit(self, target_quality: QualityFrac) -> Dimensionless:
-        """Achieved-quality shortfall Σf needed to reach ``target_quality``.
-
-        Positive when the monitor is below target; used by tests and
-        diagnostics to quantify how far compensation has to go.
-        """
-        return max(0.0, target_quality * self._potential - self._achieved)
 
     @property
     def trace(self) -> list[Tuple[Seconds, QualityFrac]]:

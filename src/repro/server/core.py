@@ -136,11 +136,6 @@ class Core:
         return self._current is not None or bool(self._pending)
 
     @property
-    def current_job(self) -> Optional[Job]:
-        """The job executing right now, if any."""
-        return self._current.job if self._current else None
-
-    @property
     def speed(self) -> Gigahertz:
         """Current speed in GHz (0 when idle)."""
         return self._current.speed if self._current else 0.0

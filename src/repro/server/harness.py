@@ -13,9 +13,12 @@ policy shares, so schedulers stay pure policy code:
 * the **quantum timer** (if the scheduler requests one).
 
 Event priorities at one instant: arrivals first (a job arriving exactly
-at a quantum boundary is visible to that quantum), then completions
-(a job finishing exactly at its deadline counts as finished), then
-deadline expiries and the quantum trigger.
+at a quantum boundary is visible to that quantum).  Completions,
+deadline expiries and the quantum trigger share ``PRIORITY_LOW`` and
+fire in push order, so a job's deadline event, pushed at its arrival,
+fires before a completion due at the same instant: a cut job whose
+last segment ends exactly at its deadline is settled ``expired``, not
+``cut`` (ROADMAP item 1 is the fix).
 """
 
 from __future__ import annotations
@@ -174,7 +177,8 @@ class SimulationHarness:
             self.tracer.job_arrived(job, self.sim.now)
         self.queue.append(job)
         self._queued_ids.add(job.jid)
-        # Deadline expiry fires after completions at the same instant.
+        # Same priority as segment completions, and pushed before them:
+        # at a shared instant this expiry fires first (ROADMAP item 1).
         # partial() beats a per-job lambda closure on this per-arrival
         # hot path (one fewer frame to build and to call through).
         self.sim.at(

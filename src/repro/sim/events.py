@@ -153,6 +153,9 @@ class EventQueue:
         event = self.pop_due()
         if event is None:
             raise SimulationError("pop from an empty event queue")
+        # The event has left the queue unfired: a later cancel() must
+        # not take it off the live count a second time.
+        event._queue = None
         return event
 
     def pop_due(self, until: Optional[Seconds] = None) -> Optional[Event]:
@@ -160,7 +163,10 @@ class EventQueue:
 
         Cancelled entries at the top of the heap are dropped on the way.
         Returns ``None`` when no live event is left, or when the earliest
-        one is later than ``until`` (it then stays queued).
+        one is later than ``until`` (it then stays queued).  The caller
+        fires the returned event at once, so a later :meth:`Event.cancel`
+        finds it fired and leaves the live count alone; use :meth:`pop`
+        to take an event out without firing it.
         """
         heap = self._heap
         while heap:

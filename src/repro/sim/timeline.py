@@ -28,12 +28,11 @@ class StepTimeline:
     segments are elided).
     """
 
-    __slots__ = ("_times", "_values", "_finalized")
+    __slots__ = ("_times", "_values")
 
     def __init__(self, start_time: Seconds = 0.0, initial_value: float = 0.0) -> None:
         self._times: List[float] = [float(start_time)]
         self._values: List[float] = [float(initial_value)]
-        self._finalized: Optional[float] = None
 
     # ------------------------------------------------------------------
     @property
@@ -45,11 +44,6 @@ class StepTimeline:
     def last_time(self) -> Seconds:
         """Timestamp of the most recent breakpoint."""
         return self._times[-1]
-
-    @property
-    def current_value(self) -> float:
-        """Value of the signal after the last breakpoint."""
-        return self._values[-1]
 
     def set_value(self, time: Seconds, value: float) -> None:
         """Record that the signal takes ``value`` from ``time`` onwards."""

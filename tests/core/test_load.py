@@ -1,11 +1,11 @@
-"""Tests for the sliding-window load estimators."""
+"""Tests for the sliding-window arrival-rate estimator."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.load import ArrivalRateEstimator, VolumeRateEstimator
+from repro.core.load import ArrivalRateEstimator
 from repro.errors import ConfigurationError
 
 
@@ -52,36 +52,3 @@ class TestArrivalRate:
             est.observe(t)
         assert est.rate(t) == pytest.approx(150.0, rel=0.15)
 
-
-class TestVolumeRate:
-    def test_volume_rate(self):
-        est = VolumeRateEstimator(window=2.0)
-        for i in range(200):
-            est.observe(i * 0.01, volume=192.0)  # 100/s · 192 units
-        assert est.rate(2.0) == pytest.approx(100.0 * 192.0, rel=0.02)
-
-    def test_eviction_restores_sum(self):
-        est = VolumeRateEstimator(window=1.0)
-        est.observe(0.0, 100.0)
-        est.observe(0.5, 100.0)
-        assert est.rate(0.6) == pytest.approx(200.0)
-        assert est.rate(1.4) == pytest.approx(100.0)
-        assert est.rate(5.0) == 0.0
-
-    def test_is_heavy(self):
-        est = VolumeRateEstimator(window=1.0)
-        for i in range(100):
-            est.observe(i * 0.01, 400.0)
-        assert est.is_heavy(1.0, critical_units_per_second=30000.0)
-        assert not est.is_heavy(1.0, critical_units_per_second=50000.0)
-
-    def test_negative_volume_rejected(self):
-        est = VolumeRateEstimator()
-        with pytest.raises(ValueError):
-            est.observe(0.0, -1.0)
-
-    def test_non_monotone_times_rejected(self):
-        est = VolumeRateEstimator()
-        est.observe(1.0, 1.0)
-        with pytest.raises(ValueError):
-            est.observe(0.5, 1.0)

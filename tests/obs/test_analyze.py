@@ -1,15 +1,11 @@
-"""Tests for trace analysis: mode intervals, utilization, summaries."""
+"""Tests for the run digest of a buffered trace: the stream fold's mode
+intervals, utilization and job stats, and the digest text."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs.analyze import (
-    core_utilization,
-    job_stats,
-    mode_intervals,
-    summarize,
-)
+from repro.obs import fold_records, summarize
 from repro.obs.spans import EventRecord, SpanRecord
 from repro.obs.timeline import TimelineSample
 from repro.obs.tracer import Trace
@@ -56,24 +52,24 @@ def build_trace() -> Trace:
 
 class TestModeIntervals:
     def test_intervals_merge_consecutive_modes(self):
-        intervals = mode_intervals(build_trace())
-        assert [(i.start, i.end, i.mode) for i in intervals] == [
+        intervals = fold_records(build_trace()).mode_intervals
+        assert [(i["start"], i["end"], i["mode"]) for i in intervals] == [
             (0.0, 0.5, "aes"),
             (0.5, 0.75, "bq"),
             (0.75, 1.0, "aes"),  # extends to meta["end"]
         ]
 
     def test_durations(self):
-        intervals = mode_intervals(build_trace())
-        assert sum(i.duration for i in intervals) == pytest.approx(1.0)
+        intervals = fold_records(build_trace()).mode_intervals
+        assert sum(i["end"] - i["start"] for i in intervals) == pytest.approx(1.0)
 
     def test_empty_trace(self):
-        assert mode_intervals(Trace()) == []
+        assert fold_records(Trace()).mode_intervals == []
 
 
 class TestCoreUtilization:
     def test_per_core_breakdown(self):
-        cores = core_utilization(build_trace())
+        cores = fold_records(build_trace()).core_utilization()
         assert set(cores) == {0, 1}
         assert cores[0]["busy"] == pytest.approx(0.2)
         assert cores[0]["utilization"] == pytest.approx(0.2)
@@ -85,17 +81,17 @@ class TestCoreUtilization:
 
 class TestJobStats:
     def test_grouped_by_outcome(self):
-        stats = job_stats(build_trace())
+        stats = fold_records(build_trace()).snapshot()["jobs"]
         assert set(stats) == {"cut"}
         assert stats["cut"]["count"] == 1
-        assert stats["cut"]["mean_sojourn"] == pytest.approx(0.4)
+        assert stats["cut"]["mean_sojourn_s"] == pytest.approx(0.4)
         assert stats["cut"]["mean_processed_fraction"] == pytest.approx(0.8)
 
 
 class TestSummarize:
     def test_mentions_every_section(self):
         text = summarize(build_trace())
-        assert "trace: GE" in text
+        assert "scheduler=GE" in text
         assert "jobs (1 settled)" in text
         assert "modes:" in text
         assert "cores:" in text

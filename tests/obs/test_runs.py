@@ -251,6 +251,22 @@ class TestDiffAndRendering:
         assert "→" in rendered
         assert format_runs_table([]) == "no stored runs"
 
+    def test_stored_summary_prints_the_run_digest(self, ge_doc, tmp_path):
+        # JSON keeps every float and sorts core keys as strings; the
+        # digest sorts cores by index, so a stored run reads as it ran.
+        store = RunStore(tmp_path)
+        run_id = store.save(ge_doc)
+        shown = format_run(store.load(run_id))
+        assert shown == format_run(ge_doc)
+        assert "jobs (" in shown and "modes:" in shown and "cores:" in shown
+        # Summaries stored before the digest listed jobs still render.
+        older = json.loads(json.dumps(ge_doc))
+        del older["telemetry"]["jobs"]
+        del older["telemetry"]["metrics"]
+        text = format_run(older)
+        assert "jobs (" not in text and "metrics:" not in text
+        assert "modes:" in text
+
     def test_write_report_on_stored_summary(self, ge_doc, tmp_path):
         out = tmp_path / "report.html"
         size = write_report(ge_doc, out)

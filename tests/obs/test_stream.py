@@ -158,16 +158,44 @@ class TestSinkDeterminism:
         assert "slo" in trace.meta
 
     def test_mode_totals_match_full_trace_intervals(self, ge_run):
-        from repro.obs import mode_intervals
-
-        intervals = mode_intervals(ge_run["full"].to_trace())
-        agg = ge_run["stream"].aggregator
-        totals = agg.mode_totals
-        aes = sum(i.duration for i in intervals if i.mode == "aes")
-        bq = sum(i.duration for i in intervals if i.mode == "bq")
+        # Reference intervals straight from the buffered decision events:
+        # consecutive same-mode rounds merge, the last runs to the end.
+        trace = ge_run["full"].to_trace()
+        decisions = trace.events_of("decision")
+        modes = [d.attrs["mode"] for d in decisions]
+        times = [d.time for d in decisions] + [float(trace.meta["end"])]
+        bounds = [i for i in range(len(modes)) if i == 0 or modes[i] != modes[i - 1]]
+        bounds.append(len(modes))
+        intervals = [(modes[a], times[b] - times[a]) for a, b in zip(bounds, bounds[1:])]
+        totals = ge_run["stream"].aggregator.mode_totals
+        aes = sum(d for mode, d in intervals if mode == "aes")
+        bq = sum(d for mode, d in intervals if mode == "bq")
         assert totals["aes_s"] == pytest.approx(aes, abs=1e-9)
         assert totals["bq_s"] == pytest.approx(bq, abs=1e-9)
         assert totals["switches"] == len(intervals) - 1
+
+    def test_job_sums_do_not_depend_on_close_order(self):
+        # Online, job spans close in settle order; a buffered trace
+        # replays them in open order.  Plain ``+=`` sums them into
+        # different means, the exact partials into one.
+        from repro.obs import SpanRecord
+        from repro.obs.stream import StreamAggregator
+
+        assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+        snapshots = []
+        for order in ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)):
+            agg = StreamAggregator()
+            for i, sojourn in enumerate(order):
+                span = SpanRecord(span_id=i, name="job", start=0.0, seq=i,
+                                  attrs={"demand": 3.0})
+                span.close(sojourn, outcome="cut", processed=sojourn * 10)
+                agg.on_span_close(span)
+            agg.finish(1.0)
+            snapshots.append(agg.snapshot())
+        assert snapshots[0] == snapshots[1]
+        cut = snapshots[0]["jobs"]["cut"]
+        assert cut["count"] == 3
+        assert cut["mean_sojourn_s"] == 0.6 / 3
 
     def test_mode_interval_cap_is_not_silent(self):
         from repro.obs import EventRecord

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.power.dvfs import ContinuousSpeedScale, DiscreteSpeedScale
@@ -58,12 +55,6 @@ class TestDiscrete:
         assert scale.ceil(0.0) == 0.0
         assert scale.ceil(99.0) == 3.0  # clamps at the top level
 
-    def test_next_below(self):
-        scale = self.ladder()
-        assert scale.next_below(1.5) == 1.0
-        assert scale.next_below(0.5) == 0.0
-        assert scale.next_below(1.7) == 1.5
-
     def test_max_speed_at_power_quantizes(self):
         scale = self.ladder()
         # 20 W allows exactly 2.0 GHz.
@@ -82,41 +73,3 @@ class TestDiscrete:
         with pytest.raises(ConfigurationError):
             DiscreteSpeedScale(MODEL, levels=[0.0, 1.0])
 
-    def test_rectify_respects_budget(self):
-        scale = self.ladder()
-        speeds = np.array([0.8, 1.2, 1.9, 2.3])
-        budget = float(np.sum(MODEL.power(speeds))) + 1.0
-        out = scale.rectify(speeds, budget)
-        assert float(np.sum(MODEL.power(out))) <= budget + 1e-6
-        for level in out:
-            assert level == 0.0 or level in scale.levels
-
-    def test_rectify_rounds_up_when_affordable(self):
-        scale = self.ladder()
-        speeds = np.array([0.7])
-        out = scale.rectify(speeds, budget=MODEL.power(1.0) + 1e-9)
-        assert out[0] == 1.0
-
-    def test_rectify_rounds_down_when_tight(self):
-        scale = self.ladder()
-        speeds = np.array([0.7])
-        out = scale.rectify(speeds, budget=MODEL.power(0.9))
-        assert out[0] == 0.5
-
-    def test_rectify_zero_speed_stays_zero(self):
-        scale = self.ladder()
-        out = scale.rectify(np.array([0.0, 1.0]), budget=100.0)
-        assert out[0] == 0.0
-
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=3.5), min_size=1, max_size=16),
-        st.floats(min_value=0.0, max_value=400.0),
-    )
-    def test_rectify_invariants(self, speeds, extra):
-        scale = self.ladder()
-        speeds_arr = np.asarray(speeds)
-        budget = float(np.sum(MODEL.power(np.minimum(speeds_arr, 3.0)))) + extra
-        out = scale.rectify(speeds_arr, budget)
-        assert float(np.sum(MODEL.power(out))) <= budget + 1e-6
-        for v in out:
-            assert v == 0.0 or any(abs(v - l) < 1e-12 for l in scale.levels)

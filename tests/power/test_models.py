@@ -46,27 +46,10 @@ def test_throughput_round_trip():
     assert PAPER.speed_for_throughput(PAPER.throughput(1.7)) == pytest.approx(1.7)
 
 
-def test_power_for_work():
-    # 2000 units in 1 s needs 2 GHz -> 20 W.
-    assert PAPER.power_for_work(2000.0, 1.0) == pytest.approx(20.0)
-    with pytest.raises(ValueError):
-        PAPER.power_for_work(100.0, 0.0)
-
-
 def test_energy():
     assert PAPER.energy(2.0, 10.0) == pytest.approx(200.0)
     with pytest.raises(ValueError):
         PAPER.energy(2.0, -1.0)
-
-
-def test_energy_for_volume_increases_with_speed():
-    """Racing wastes energy: E(v, s) grows with s for β > 1."""
-    e_slow = PAPER.energy_for_volume(1000.0, 1.0)
-    e_fast = PAPER.energy_for_volume(1000.0, 2.0)
-    assert e_fast > e_slow
-    # Specifically E = a·v/u · s^{β−1} = 5·1·s for the paper model.
-    assert e_slow == pytest.approx(5.0)
-    assert e_fast == pytest.approx(10.0)
 
 
 def test_invalid_parameters():

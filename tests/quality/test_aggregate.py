@@ -7,11 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.quality.aggregate import (
-    aggregate_quality,
-    projected_quality_after_cut,
-    quality_ratio,
-)
+from repro.quality.aggregate import aggregate_quality, quality_ratio
 from repro.quality.functions import ExponentialQuality
 
 F = ExponentialQuality(c=0.003, x_max=1000.0)
@@ -47,20 +43,6 @@ def test_processed_above_demand_rejected():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         aggregate_quality(F, [1.0, 2.0], [1.0])
-
-
-def test_projected_quality_with_history():
-    # History: one fully-processed job of 500 units.
-    base_a = float(F(500.0))
-    base_p = float(F(500.0))
-    q = projected_quality_after_cut(F, [100.0], [200.0], base_a, base_p)
-    expected = (base_a + F(100.0)) / (base_p + F(200.0))
-    assert q == pytest.approx(expected)
-
-
-def test_projected_quality_empty_batch_returns_history():
-    q = projected_quality_after_cut(F, [], [], 3.0, 4.0)
-    assert q == pytest.approx(0.75)
 
 
 @given(

@@ -46,25 +46,6 @@ def test_processed_clamped_to_demand():
     assert m.quality == pytest.approx(1.0)
 
 
-def test_projected_does_not_mutate():
-    m = make_monitor()
-    m.record(500.0, 500.0)
-    before = m.quality
-    proj = m.projected([100.0], [800.0])
-    assert m.quality == before
-    expected = (float(F(500.0)) + float(F(100.0))) / (float(F(500.0)) + float(F(800.0)))
-    assert proj == pytest.approx(expected)
-
-
-def test_deficit_positive_when_below_target():
-    m = make_monitor()
-    m.record(0.0, 500.0)
-    assert m.deficit(0.9) == pytest.approx(0.9 * float(F(500.0)))
-    m2 = make_monitor()
-    m2.record(500.0, 500.0)
-    assert m2.deficit(0.9) == 0.0
-
-
 def test_trace_records_time_quality_pairs():
     m = make_monitor()
     m.record(500.0, 500.0, time=1.0)

@@ -81,6 +81,18 @@ def test_cancel_after_fire_returns_false():
     assert e.cancel() is False
 
 
+def test_cancel_after_pop_keeps_live_count():
+    # A popped event has left the queue: cancelling it is allowed, but
+    # must not take the still-queued event off the live count.
+    q = EventQueue()
+    first = q.push(1.0, lambda: None)
+    second = q.push(2.0, lambda: None)
+    assert q.pop() is first
+    assert first.cancel() is True
+    assert len(q) == 1 and q
+    assert q.pop() is second
+
+
 def test_pop_empty_raises():
     q = EventQueue()
     with pytest.raises(SimulationError):

@@ -295,6 +295,28 @@ def test_report_from_trace_and_trace_show(tmp_path, capsys):
     assert "quality_floor" in capsys.readouterr().out
 
 
+def test_every_path_prints_one_digest(tmp_path, capsys):
+    # A buffered run, a streamed run and `trace show` of either file
+    # print the same digest from the SLO panel on, under the same id.
+    buffered = str(tmp_path / "t.jsonl")
+    streamed = str(tmp_path / "s.jsonl")
+    run = ["trace", "--rate", "150", "--horizon", "3", "--seed", "1"]
+    outputs = []
+    for argv in (run + ["--out", buffered], ["trace", "show", buffered],
+                 run + ["--stream", "--out", streamed], ["trace", "show", streamed]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    run_lines = [line for line in outputs[0] if line.startswith("run ")]
+    digests = []
+    for lines in outputs:
+        assert [line for line in lines if line.startswith("run ")] == run_lines
+        slo = next(i for i, line in enumerate(lines) if line.startswith("  slo:"))
+        digests.append(lines[slo:])
+    assert digests[1:] == [digests[0]] * 3
+    assert any(line.startswith("  jobs (") for line in digests[0])
+    assert any(line.startswith("  metrics:") for line in digests[0])
+
+
 def test_runs_list_json_format(tmp_path, capsys):
     import json
 
