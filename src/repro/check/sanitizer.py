@@ -24,9 +24,9 @@ the moment one breaks:
 
 :class:`SanitizingTracer` is a :class:`repro.obs.tracer.Tracer` with a
 :class:`~repro.obs.tracer.Buffer` and a :class:`Sanitizer` as sinks;
-the sanitizer composes with any other sink (``--sanitize --stream``
-runs it next to the stream aggregator).  Enable via ``--sanitize`` on
-``repro run`` / ``scenario`` / ``trace``.  The checks are read-only: a
+the sanitizer composes with any other sink (the CLI's ``--sanitize``
+runs it next to the stream aggregator on ``repro run`` / ``scenario``
+/ ``trace``).  The checks are read-only: a
 run that passes produces a bit-identical :class:`RunResult` to an
 untraced one (same guarantee as the plain tracer).
 

@@ -21,8 +21,15 @@ scenario run and export it as JSONL::
 
     repro-cli trace --scenario websearch --out trace.jsonl
 
-Any ``run``/``scenario`` invocation can also dump a trace alongside its
-summary row via ``--trace`` / ``--trace-out PATH``.
+Any ``run``/``scenario`` invocation can also print the run digest, or
+write the trace too, via ``--trace`` / ``--trace-out PATH``.
+
+Every traced run uses one constant-memory tracer
+(:class:`repro.obs.StreamingTracer`): the run's digest is folded while
+it runs, and each requested file (``--out``/``--trace-out`` JSONL,
+``--timeline-csv``, ``--spans-csv``) is a sink written record by
+record, so memory stays flat in the horizon and an interrupted run
+still leaves complete files.
 """
 
 from __future__ import annotations
@@ -249,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--no-summary", action="store_true",
                        help="suppress the trace summary on stdout")
     _add_sanitize_flag(trace)
-    _add_stream_flags(trace)
+    _add_store_flags(trace)
     trace_sub = trace.add_subparsers(dest="trace_command", required=False)
     trace_show = trace_sub.add_parser(
         "show", help="summarize a JSONL trace file (streaming, constant memory)"
@@ -275,18 +282,14 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="record a trace and write it as JSONL (implies --trace)")
     _add_sanitize_flag(parser)
-    _add_stream_flags(parser)
+    _add_store_flags(parser)
 
 
-def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the streaming-telemetry options (``--stream``/``--store``)."""
-    parser.add_argument("--stream", action="store_true",
-                        help="use the constant-memory streaming tracer: "
-                             "windowed aggregates + online SLO monitors "
-                             "instead of buffered records")
+def _add_store_flags(parser: argparse.ArgumentParser) -> None:
+    """Attach the run-registry options (``--store``/``--runs-dir``)."""
     parser.add_argument("--store", action="store_true",
                         help="save the run summary into the run registry "
-                             "(implies --stream; see 'repro-cli runs')")
+                             "(see 'repro-cli runs')")
     _add_runs_dir_flag(parser)
 
 
@@ -320,33 +323,31 @@ def _resolve_scenario(name: str) -> str:
     )
 
 
-def _new_tracer_if(active: bool, *, sanitize: bool = False,
-                   config: Optional[SimulationConfig] = None, scheduler=None,
-                   stream: bool = False, spill: Optional[str] = None):
-    """A fresh tracer when tracing/sanitizing was requested, else None.
+def _new_tracer(config: SimulationConfig, scheduler, *, sanitize: bool = False,
+                out: Optional[str] = None, timeline_csv: Optional[str] = None,
+                spans_csv: Optional[str] = None):
+    """The one tracer of a traced CLI run, and the files it writes.
 
-    Sanitizing implies tracing: the invariant checks are a sink on the
-    trace stream (:class:`repro.check.Sanitizer`).  ``stream`` selects
-    the constant-memory :class:`repro.obs.StreamingTracer` instead of
-    the buffering one, spilling raw records to ``spill`` when given;
-    with both, the sanitizer rides next to the stream aggregator.
+    A :class:`repro.obs.StreamingTracer`; each flag adds a sink: ``out``
+    the JSONL spill, ``sanitize`` the invariant checks
+    (:class:`repro.check.Sanitizer`), ``timeline_csv``/``spans_csv`` the
+    CSV writers.  Returns the tracer and a ``(path, sink, noun)`` triple
+    per file, for reporting what was written.
     """
-    from repro.check.sanitizer import Sanitizer, SanitizingTracer
+    from repro.check.sanitizer import Sanitizer
+    from repro.obs import SpansCsv, StreamingTracer, TimelineCsv
 
-    if stream:
-        from repro.obs import StreamingTracer
-
-        tracer = StreamingTracer(spill_path=spill)
-        if sanitize:
-            tracer.sinks += (Sanitizer.for_run(config, scheduler),)
-        return tracer
+    tracer = StreamingTracer(spill_path=out)
+    files = [] if out is None else [(out, tracer.spill, "trace records")]
     if sanitize:
-        return SanitizingTracer.for_run(config, scheduler)
-    if not active:
-        return None
-    from repro.obs import Tracer
-
-    return Tracer()
+        tracer.sinks += (Sanitizer.for_run(config, scheduler),)
+    for path, sink_type, noun in ((timeline_csv, TimelineCsv, "timeline samples"),
+                                  (spans_csv, SpansCsv, "spans")):
+        if path:
+            sink = sink_type(path)
+            tracer.sinks += (sink,)
+            files.append((path, sink, noun))
+    return tracer, files
 
 
 def _report_sanitizer(tracer) -> None:
@@ -358,45 +359,32 @@ def _report_sanitizer(tracer) -> None:
             print(f"sanitizer: {sink.checks_run} invariant checks passed")
 
 
-def _emit(tracer, result, *, out=None, timeline_csv=None, spans_csv=None,
-          store=False, runs_dir=None, summary=True) -> None:
-    """Export, store and print a finished run's telemetry.
+def _emit(tracer, result, files, *, out=None, store=False, runs_dir=None,
+          summary=True) -> None:
+    """Report, store and print a traced run's telemetry.
 
-    A buffering tracer writes its JSONL/CSV files, then folds its own
-    trace; a streaming tracer has spilled and folded while it ran.
-    Either way the run prints the digest that ``trace show`` prints
-    for its JSONL file (:func:`repro.obs.runs.format_run`).
+    The tracer has written its files and folded its digest while the
+    run went; this prints what each file holds, saves the summary
+    (``store``) and prints the digest that ``trace show`` prints for
+    the JSONL file (:func:`repro.obs.runs.format_run`).  ``result`` is
+    ``None`` for an interrupted run.
     """
     from dataclasses import asdict
 
-    from repro.obs import (StreamingTracer, fold_records, write_jsonl,
-                           write_spans_csv, write_timeline_csv)
     from repro.obs.runs import RunStore, format_run, make_summary
 
-    streaming = isinstance(tracer, StreamingTracer)
-    if streaming:
-        if out:
-            print(f"wrote {tracer.spilled_records} trace records to {out}")
-    else:
-        trace = tracer.to_trace()
-        # Files first: a broken stdout pipe must not lose the artifacts.
-        if out:
-            lines = write_jsonl(trace, out)
-            print(f"wrote {lines} trace records to {out}")
-        if timeline_csv:
-            rows = write_timeline_csv(trace, timeline_csv)
-            print(f"wrote {rows} timeline samples to {timeline_csv}")
-        if spans_csv:
-            rows = write_spans_csv(trace, spans_csv)
-            print(f"wrote {rows} spans to {spans_csv}")
+    verb = "flushed" if result is None else "wrote"
+    for path, sink, noun in files:
+        print(f"{verb} {sink.written} {noun} to {path}")
     if not (summary or store):
-        return  # the fold of a long buffered trace is not free
-    telemetry = tracer.summary() if streaming else fold_records(trace).summary()
-    doc = make_summary(telemetry, result=asdict(result))
+        return
+    doc = make_summary(tracer.summary(),
+                       result=None if result is None else asdict(result))
     if store:
         registry = RunStore(runs_dir)
         run_id = registry.save(doc, trace_path=out)
-        print(f"stored run {run_id} in {registry.root}")
+        kind = "interrupted run" if result is None else "run"
+        print(f"stored {kind} {run_id} in {registry.root}")
     if summary:
         print(format_run(doc))
 
@@ -406,57 +394,38 @@ def _run_and_report(args, config: SimulationConfig, *, traced: bool,
                     summary: bool = True) -> int:
     """Run ``args.scheduler`` on ``config``; print its row and telemetry.
 
-    Shared by ``run``, ``scenario`` and ``trace``.  ``traced`` asks
-    for a tracer and ``out`` names its JSONL file; ``--stream`` /
-    ``--store`` pick the streaming tracer and ``--sanitize`` adds the
-    invariant checks.  Returns the exit code (130 after Ctrl-C).
+    Shared by ``run``, ``scenario`` and ``trace``.  ``traced`` asks for
+    the run digest and ``out`` names the JSONL file; ``--sanitize`` and
+    ``--store`` trace the run too.  Returns the exit code, 130 after
+    Ctrl-C: the tracer is then closed at the interrupt's simulated time,
+    so every file ends on a complete line (a record is one ``write``),
+    the spill gets its final meta/metrics tail, and ``--store`` saves
+    the partial summary flagged ``interrupted``.
     """
     scheduler = _SCHEDULERS[args.scheduler]()
-    stream = args.stream or args.store
-    tracer = _new_tracer_if(traced, sanitize=args.sanitize, config=config,
-                            scheduler=scheduler, stream=stream, spill=out)
+    tracer, files = None, []
+    if traced or args.sanitize or args.store:
+        tracer, files = _new_tracer(config, scheduler, sanitize=args.sanitize,
+                                    out=out, timeline_csv=timeline_csv,
+                                    spans_csv=spans_csv)
     harness = SimulationHarness(config, scheduler, tracer=tracer)
     try:
         result = harness.run()
     except KeyboardInterrupt:
-        return _interrupted(tracer, harness, out=out, store=args.store,
-                            runs_dir=args.runs_dir)
+        now = float(getattr(harness.sim, "now", 0.0))
+        print(f"interrupted at simulated t={now:g}s")
+        if tracer is not None:
+            tracer.meta["interrupted"] = True
+            tracer.close(end=now)
+            _emit(tracer, None, files, out=out, store=args.store,
+                  runs_dir=args.runs_dir, summary=False)
+        return 130
     print(result.row())
     _report_sanitizer(tracer)
-    if traced or stream:
-        _emit(tracer, result, out=out, timeline_csv=timeline_csv,
-              spans_csv=spans_csv, store=args.store, runs_dir=args.runs_dir,
-              summary=summary)
+    if traced or args.store:
+        _emit(tracer, result, files, out=out, store=args.store,
+              runs_dir=args.runs_dir, summary=summary)
     return 0
-
-
-def _interrupted(tracer, harness, *, out=None, store=False, runs_dir=None) -> int:
-    """Wind down after Ctrl-C: flush partial telemetry, then exit 130.
-
-    A :class:`~repro.obs.StreamingTracer` is closed at the interrupt's
-    simulated time, so the JSONL spill ends on a complete line (every
-    record is a single ``write``) with the final meta/metrics tail
-    appended, and the partial summary can still land in the run
-    registry — flagged ``interrupted`` so it is never mistaken for a
-    finished run.  Buffered tracers simply drop their records.
-    """
-    from repro.obs import StreamingTracer
-
-    now = float(getattr(harness.sim, "now", 0.0))
-    print(f"interrupted at simulated t={now:g}s")
-    if isinstance(tracer, StreamingTracer):
-        tracer.meta["interrupted"] = True
-        tracer.close(end=now)
-        if out:
-            print(f"flushed {tracer.spilled_records} trace records to {out}")
-        if store:
-            from repro.obs.runs import RunStore, make_summary
-
-            doc = make_summary(tracer.summary(), result=None)
-            registry = RunStore(runs_dir)
-            run_id = registry.save(doc, trace_path=out)
-            print(f"stored interrupted run {run_id} in {registry.root}")
-    return 130
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -794,10 +763,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     horizon=args.horizon,
                     seed=args.seed,
                 )
-            if (args.stream or args.store) and (args.timeline_csv or args.spans_csv):
-                print("--stream keeps no records to export as CSV; "
-                      "drop --timeline-csv/--spans-csv or the stream flag")
-                return 2
             return _run_and_report(args, config, traced=True, out=args.out,
                                    timeline_csv=args.timeline_csv,
                                    spans_csv=args.spans_csv,

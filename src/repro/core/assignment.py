@@ -64,10 +64,6 @@ class CumulativeRoundRobin(AssignmentPolicy):
             self._next = (self._next + 1) % self.m
         return out
 
-    def reset(self) -> None:
-        """Rewind the pointer (between replications)."""
-        self._next = 0
-
 
 class LeastLoaded(AssignmentPolicy):
     """Greedy: each job goes to the core with the least remaining volume.

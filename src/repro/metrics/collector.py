@@ -99,8 +99,6 @@ class MetricsCollector:
     def __init__(self) -> None:
         self._outcomes: Counter = Counter()
         self._jobs = 0
-        self._processed_volume: Volume = 0.0
-        self._demand_volume: Volume = 0.0
 
     # ------------------------------------------------------------------
     def record_settle(self, job: Job) -> None:
@@ -109,8 +107,6 @@ class MetricsCollector:
             raise ValueError(f"job {job.jid} recorded before settlement")
         self._outcomes[job.outcome.value] += 1
         self._jobs += 1
-        self._processed_volume += job.processed
-        self._demand_volume += job.demand
 
     @property
     def jobs(self) -> int:
@@ -121,25 +117,3 @@ class MetricsCollector:
     def outcomes(self) -> Dict[str, int]:
         """Outcome-name → count mapping (copy)."""
         return dict(self._outcomes)
-
-    @property
-    def processed_volume(self) -> Volume:
-        """Σ c_j over settled jobs."""
-        return self._processed_volume
-
-    @property
-    def demand_volume(self) -> Volume:
-        """Σ p_j over settled jobs."""
-        return self._demand_volume
-
-    @property
-    def volume_ratio(self) -> float:
-        """Fraction of offered demand actually processed."""
-        return self._processed_volume / self._demand_volume if self._demand_volume else 1.0
-
-    def reset(self) -> None:
-        """Clear all accumulated state."""
-        self._outcomes.clear()
-        self._jobs = 0
-        self._processed_volume: Volume = 0.0
-        self._demand_volume: Volume = 0.0

@@ -28,10 +28,10 @@ class ClassAwareMonitor(QualityMonitor):
         class's volume-based API (used only by code unaware of classes).
     """
 
-    def __init__(self, functions: Sequence[QualityFunction], history: Dimensionless = 1.0) -> None:
+    def __init__(self, functions: Sequence[QualityFunction]) -> None:
         if not functions:
             raise ValueError("need at least one class quality function")
-        super().__init__(functions[0], history=history)
+        super().__init__(functions[0])
         self.functions = list(functions)
 
     def function_for(self, job: Job) -> QualityFunction:
@@ -48,9 +48,6 @@ class ClassAwareMonitor(QualityMonitor):
         """Settle one job using its class's quality function."""
         f = self.function_for(job)
         processed = min(job.processed, job.demand)
-        if self.history < 1.0:
-            self._achieved *= self.history
-            self._potential *= self.history
         self._achieved += float(f(processed))
         self._potential += float(f(job.demand))
         self._settled_jobs += 1

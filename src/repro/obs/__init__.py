@@ -42,12 +42,12 @@ HTML dashboard (:mod:`repro.obs.report`)::
 from repro.obs.export import (
     TRACE_SCHEMA,
     JsonlSpill,
+    SpansCsv,
+    TimelineCsv,
     iter_jsonl,
     read_jsonl,
     trace_records,
     write_jsonl,
-    write_spans_csv,
-    write_timeline_csv,
 )
 from repro.obs.registry import (
     Counter,
@@ -102,8 +102,10 @@ __all__ = [
     "SLOTracker",
     "Sink",
     "SpanRecord",
+    "SpansCsv",
     "StreamAggregator",
     "StreamingTracer",
+    "TimelineCsv",
     "TimelineSample",
     "Trace",
     "Tracer",
@@ -126,6 +128,4 @@ __all__ = [
     "trace_records",
     "write_jsonl",
     "write_report",
-    "write_spans_csv",
-    "write_timeline_csv",
 ]

@@ -15,11 +15,13 @@ by ``"type"``:
 time, constant memory — for feeding :mod:`repro.obs.stream`.
 
 :class:`JsonlSpill` is the incremental writer: a tracer sink that
-appends each record as it is emitted (constant memory).
+appends each record as it is emitted (constant memory).  The CLI's
+``--out`` / ``--trace-out`` files are spills.
 
-The CSV exporters are one-way conveniences for spreadsheets/plotting:
-:func:`write_timeline_csv` (per-core samples) and
-:func:`write_spans_csv` (job/exec spans, attrs flattened to JSON).
+The CSV sinks are one-way conveniences for spreadsheets/plotting, also
+written as the run goes: :class:`TimelineCsv` (one row per per-core
+sample) and :class:`SpansCsv` (one row per closed job/exec span, attrs
+flattened to JSON, in close order).
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ from repro.units import Seconds
 __all__ = [
     "TRACE_SCHEMA",
     "JsonlSpill",
+    "SpansCsv",
+    "TimelineCsv",
     "iter_jsonl",
     "read_jsonl",
     "trace_records",
     "write_jsonl",
-    "write_spans_csv",
-    "write_timeline_csv",
 ]
 
 #: Version tag stamped on the JSONL header (the ``meta`` record).  Bump
@@ -204,31 +206,52 @@ def read_jsonl(path: _PathLike) -> Trace:
     return Trace(meta=meta, spans=spans, events=events, samples=samples, metrics=metrics)
 
 
-def write_timeline_csv(trace: Union[Trace, Tracer], path: _PathLike) -> int:
-    """Write core-timeline samples as CSV; returns the row count."""
-    trace = _as_trace(trace)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "core", "speed_ghz", "power_w", "energy_j"])
-        for s in trace.samples:
-            writer.writerow([f"{s.time:.9g}", s.core, f"{s.speed:.9g}",
-                             f"{s.power:.9g}", f"{s.energy:.9g}"])
-    return len(trace.samples)
+class _CsvSink(Sink):
+    """A sink that writes CSV rows to ``path`` as records arrive."""
+
+    def __init__(self, path: _PathLike, header: List[str]) -> None:
+        self._fh: Optional[TextIO] = open(path, "w", newline="", encoding="utf-8")
+        self._writer = csv.writer(self._fh)
+        self._writer.writerow(header)
+        #: Rows written so far (the header not counted).
+        self.written = 0
+
+    def _row(self, row: List[Any]) -> None:
+        self._writer.writerow(row)  # one ``write`` per row, as in the spill
+        self.written += 1
+
+    def finish(self, end: Seconds) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
-def write_spans_csv(trace: Union[Trace, Tracer], path: _PathLike) -> int:
-    """Write spans as CSV (attrs flattened to JSON); returns the row count."""
-    trace = _as_trace(trace)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["span_id", "parent_id", "name", "start", "end", "attrs"])
-        for s in trace.spans:
-            writer.writerow([
-                s.span_id,
-                "" if s.parent_id is None else s.parent_id,
-                s.name,
-                f"{s.start:.9g}",
-                "" if s.end is None else f"{s.end:.9g}",
-                json.dumps(s.attrs, sort_keys=True),
-            ])
-    return len(trace.spans)
+class TimelineCsv(_CsvSink):
+    """Writes one CSV row per core-timeline sample."""
+
+    def __init__(self, path: _PathLike) -> None:
+        super().__init__(path, ["time", "core", "speed_ghz", "power_w", "energy_j"])
+
+    def on_sample_batch(
+        self, time: Seconds, samples: List[TimelineSample], machine: Any = None
+    ) -> None:
+        for s in samples:
+            self._row([f"{s.time:.9g}", s.core, f"{s.speed:.9g}",
+                       f"{s.power:.9g}", f"{s.energy:.9g}"])
+
+
+class SpansCsv(_CsvSink):
+    """Writes one CSV row per closed span (attrs flattened to JSON)."""
+
+    def __init__(self, path: _PathLike) -> None:
+        super().__init__(path, ["span_id", "parent_id", "name", "start", "end", "attrs"])
+
+    def on_span_close(self, span: SpanRecord) -> None:
+        self._row([
+            span.span_id,
+            "" if span.parent_id is None else span.parent_id,
+            span.name,
+            f"{span.start:.9g}",
+            f"{span.end:.9g}",
+            json.dumps(span.attrs, sort_keys=True),
+        ])

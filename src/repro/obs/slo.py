@@ -15,11 +15,11 @@ emits — no trace buffering, no post-hoc pass:
 * ``bq_dwell`` — fraction of decided time spent in BQ (compensation)
   mode, against a maximum dwell.
 
-Each spec fires an ``on_violation`` callback exactly once, at the
-first observation that breaches it (a :class:`repro.obs.stream.StreamingTracer`
-turns that into an ``slo_violation`` trace event with context), and
-:meth:`SLOTracker.summary` renders a machine-readable compliance
-summary that lands in the trace metadata under ``meta["slo"]``.
+Each spec records its first violation once, at the first observation
+that breaches it, and :meth:`SLOTracker.summary` renders a
+machine-readable compliance summary (with each first violation's time,
+value and threshold) that lands in the trace metadata under
+``meta["slo"]``.
 
 Everything here is a pure fold over the observation sequence — no wall
 clock, no randomness — so an offline replay of the exported JSONL
@@ -30,7 +30,7 @@ reproduces the online summary bit-for-bit (pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.registry import MetricsRegistry, QuantileSketch
 from repro.units import QualityFrac, Seconds, Watts
@@ -58,10 +58,6 @@ _MISS_OUTCOMES = frozenset({"expired", "dropped"})
 #: not violations (mirrors the runtime sanitizer's tolerance).
 _REL_EPS = 1e-6
 
-#: First-violation callback: ``(spec_name, sim_time, value, threshold)``.
-ViolationCallback = Callable[[str, float, float, float], None]
-
-
 @dataclass(frozen=True)
 class SLOSpec:
     """One declarative service-level objective.
@@ -69,8 +65,7 @@ class SLOSpec:
     Attributes
     ----------
     name:
-        Unique key in the compliance summary (and the ``slo`` attribute
-        of the first-violation event).
+        Unique key in the compliance summary.
     kind:
         One of :data:`SLO_KINDS`; selects the evaluation rule.
     threshold:
@@ -164,7 +159,6 @@ class SLOTracker:
         specs: List[SLOSpec],
         *,
         registry: Optional[MetricsRegistry] = None,
-        on_violation: Optional[ViolationCallback] = None,
     ) -> None:
         seen: Dict[str, SLOSpec] = {}
         by_kind: Dict[str, SLOSpec] = {}
@@ -180,7 +174,6 @@ class SLOTracker:
             by_kind[spec.kind] = spec
         self.specs = list(specs)
         self._by_kind = by_kind
-        self._on_violation = on_violation
         self._violations: Dict[str, Dict[str, Any]] = {}
         self._finished = False
         # Decision-stream state (quality_floor + bq_dwell share it).
@@ -215,8 +208,6 @@ class SLOTracker:
             "value": float(value),
             "threshold": spec.threshold,
         }
-        if self._on_violation is not None:
-            self._on_violation(spec.name, float(time), float(value), spec.threshold)
 
     # ------------------------------------------------------------------
     # Stream entry points

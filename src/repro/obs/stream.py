@@ -5,8 +5,8 @@ event and sample in memory — perfect for debugging a 10-second
 scenario, linear in the horizon for anything else.  This module is the
 constant-memory alternative:
 
-* :class:`WindowSeries` — tumbling/sliding window aggregates (count /
-  sum / min / max / mean / last) over **simulated** time.  The window
+* :class:`WindowSeries` — tumbling window aggregates (count / sum /
+  min / max / mean / last) over **simulated** time.  The window
   width defaults to ``horizon / DEFAULT_WINDOWS``, so the number of
   retained rows is a constant (~:data:`DEFAULT_WINDOWS`) regardless of
   how long the run is or how many records it emits;
@@ -42,12 +42,12 @@ All windowing is in simulated seconds; nothing here reads a wall clock
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.obs.export import JsonlSpill, trace_records
 from repro.obs.registry import MetricsRegistry, QuantileSketch
 from repro.obs.runs import RUN_SCHEMA, format_run, run_id_for
-from repro.obs.slo import SLOSpec, SLOTracker, default_slos
+from repro.obs.slo import SLOTracker, default_slos
 from repro.obs.spans import EventRecord, SpanRecord
 from repro.obs.timeline import TimelineSample
 from repro.obs.tracer import Sink, Trace, Tracer
@@ -85,109 +85,72 @@ MAX_CHAOS_EVENTS = 128
 
 
 class WindowSeries:
-    """Tumbling/sliding window aggregates of one value stream.
+    """Tumbling window aggregates of one value stream.
 
-    Values are folded into *panes* of ``slide`` simulated seconds; a
-    window spans ``width / slide`` consecutive panes (``width ==
-    slide``, the default, is a plain tumbling window).  Pane aggregates
-    (count, sum, min, max, last) compose exactly, so a sliding-window
-    row equals the fold of its panes with no approximation.
+    Each window spans ``width`` simulated seconds and keeps the count,
+    sum, min, max, last value and mean of its observations.
 
     ``observe`` must be called with non-decreasing times (trace streams
     are chronological).  Completed rows accumulate in :attr:`rows` —
-    O(elapsed / slide) of them, independent of the observation count —
+    O(elapsed / width) of them, independent of the observation count —
     and windows with no observations produce no row, so sparse series
     stay sparse.
     """
 
-    __slots__ = ("name", "width", "slide", "rows", "_panes", "_pane_index", "_finished")
+    __slots__ = ("name", "width", "rows", "_open", "_index", "_finished")
 
-    def __init__(self, name: str, *, width: Seconds, slide: Optional[Seconds] = None) -> None:
+    def __init__(self, name: str, *, width: Seconds) -> None:
         if width <= 0:
             raise ValueError(f"window series {name}: width must be positive")
-        slide = width if slide is None else float(slide)
-        if slide <= 0 or slide > width:
-            raise ValueError(f"window series {name}: slide must be in (0, width]")
-        span = width / slide
-        if abs(span - round(span)) > 1e-9:
-            raise ValueError(f"window series {name}: width must be a multiple of slide")
         self.name = name
         self.width = float(width)
-        self.slide = slide
         self.rows: List[Dict[str, Any]] = []
-        self._panes: List[Optional[Dict[str, Any]]] = []
-        self._pane_index = 0
+        self._open: Optional[Dict[str, Any]] = None
+        self._index = 0
         self._finished = False
-
-    @property
-    def _panes_per_window(self) -> int:
-        return int(round(self.width / self.slide))
 
     def observe(self, time: Seconds, value: float) -> None:
         """Fold one observation at simulated ``time``."""
         if self._finished:
             raise ValueError(f"window series {self.name}: already finished")
-        index = int(time / self.slide)
-        if not self._panes:
-            self._pane_index = index
-            self._panes = [None]
-        elif index > self._pane_index:
-            self._advance_to(index)
-        pane = self._panes[-1]
-        if pane is None:
-            pane = {"count": 0, "sum": 0.0, "min": value, "max": value, "last": value}
-            self._panes[-1] = pane
-        pane["count"] += 1
-        pane["sum"] += value
-        if value < pane["min"]:
-            pane["min"] = value
-        if value > pane["max"]:
-            pane["max"] = value
-        pane["last"] = value
+        index = int(time / self.width)
+        row = self._open
+        if row is None or index > self._index:
+            self._emit()
+            self._index = index
+            row = {"count": 0, "sum": 0.0, "min": value, "max": value, "last": value}
+            self._open = row
+        row["count"] += 1
+        row["sum"] += value
+        if value < row["min"]:
+            row["min"] = value
+        if value > row["max"]:
+            row["max"] = value
+        row["last"] = value
 
-    def _advance_to(self, index: int) -> None:
-        """Open the pane at ``index``, emitting windows that completed."""
-        per_window = self._panes_per_window
-        while self._pane_index < index:
-            self._pane_index += 1
-            self._panes.append(None)
-            if len(self._panes) > per_window:
-                self._emit(self._pane_index - len(self._panes) + 1, per_window)
-                self._panes.pop(0)
-
-    def _emit(self, first_pane: int, npanes: int) -> None:
-        """Emit the window of ``npanes`` panes starting at ``first_pane``."""
-        live = [p for p in self._panes[:npanes] if p is not None]
-        if not live:
-            return  # fully empty window: no row
-        row: Dict[str, Any] = {
-            "start": first_pane * self.slide,
-            "end": first_pane * self.slide + self.width,
-            "count": sum(p["count"] for p in live),
-            "sum": sum(p["sum"] for p in live),
-            "min": min(p["min"] for p in live),
-            "max": max(p["max"] for p in live),
-            "last": live[-1]["last"],
-        }
-        row["mean"] = row["sum"] / row["count"]
-        self.rows.append(row)
+    def _emit(self) -> None:
+        """Emit the open window's row, if any."""
+        row = self._open
+        if row is None:
+            return
+        start = self._index * self.width
+        self.rows.append({
+            "start": start, "end": start + self.width, "count": row["count"],
+            "sum": row["sum"], "min": row["min"], "max": row["max"],
+            "last": row["last"], "mean": row["sum"] / row["count"],
+        })
+        self._open = None
 
     def finish(self, end: Seconds) -> None:
         """Flush the final (possibly partial) window at run end."""
         if self._finished:
             return
         self._finished = True
-        if self._panes:
-            self._emit(self._pane_index - len(self._panes) + 1, len(self._panes))
-            self._panes = []
+        self._emit()
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-native state: window geometry plus the emitted rows."""
-        return {
-            "width": self.width,
-            "slide": self.slide,
-            "rows": [dict(r) for r in self.rows],
-        }
+        """JSON-native state: window width plus the emitted rows."""
+        return {"width": self.width, "rows": [dict(r) for r in self.rows]}
 
 
 def _add_exact(partials: List[float], x: float) -> None:
@@ -237,19 +200,8 @@ class StreamAggregator(Sink):
     online order (job sums are exact, so their order does not matter).
     """
 
-    def __init__(
-        self,
-        *,
-        slos: Optional[List[SLOSpec]] = None,
-        window_width: Optional[float] = None,
-        window_slide: Optional[float] = None,
-        on_violation: Optional[Callable[[str, float, float, float], None]] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self._slos = slos
-        self._width = window_width
-        self._slide = window_slide
-        self._on_violation = on_violation
         self.meta: Dict[str, Any] = {}
         self.series: Dict[str, WindowSeries] = {}
         self.slo: Optional[SLOTracker] = None
@@ -279,13 +231,13 @@ class StreamAggregator(Sink):
     def start(self, meta: Dict[str, Any], metrics: Optional[MetricsRegistry] = None) -> None:
         """Arm the aggregator from the run's metadata.
 
-        Window width derives from ``meta["horizon"]`` (unless given
-        explicitly) and the default SLOs from ``q_ge`` / ``budget``
-        (see :func:`repro.obs.slo.default_slos`).  The first call adopts
-        ``meta`` (a tracer's live metadata) and ``metrics`` (its
-        registry, which then holds the sketches and SLO metrics); later
-        calls merge their keys — an offline replay may see both a
-        provisional and a final header — but arming happens once.
+        Window width derives from ``meta["horizon"]`` and the SLOs from
+        ``q_ge`` / ``budget`` (see :func:`repro.obs.slo.default_slos`).
+        The first call adopts ``meta`` (a tracer's live metadata) and
+        ``metrics`` (its registry, which then holds the sketches and SLO
+        metrics); later calls merge their keys — an offline replay may
+        see both a provisional and a final header — but arming happens
+        once.
         """
         if self._started:
             self.meta.update(meta)
@@ -294,17 +246,14 @@ class StreamAggregator(Sink):
         self.meta = meta
         if metrics is not None:
             self.registry = metrics
-        width = self._width if self._width is not None else _window_width(self.meta)
+        width = _window_width(self.meta)
         for name in ("quality", "queue_depth", "power_total_w",
                      "speed_mean_ghz", "reschedule_gap_s"):
-            self.series[name] = WindowSeries(name, width=width, slide=self._slide)
+            self.series[name] = WindowSeries(name, width=width)
         self._gap_sketch = self.registry.quantiles(
             "stream.reschedule_gap_s", qs=(0.5, 0.9, 0.99)
         )
-        specs = self._slos if self._slos is not None else default_slos(self.meta)
-        self.slo = SLOTracker(
-            specs, registry=self.registry, on_violation=self._on_violation
-        )
+        self.slo = SLOTracker(default_slos(self.meta), registry=self.registry)
         self._mode_start = float(self.meta.get("start", 0.0))
 
     def _require_started(self) -> None:
@@ -320,9 +269,9 @@ class StreamAggregator(Sink):
         """Fold one event record."""
         time, kind, attrs = event.time, event.kind, event.attrs
         if kind == "slo_violation":
-            # Derived annotation emitted by the streaming sink itself,
-            # absent from a full tracer's record stream — not folded and
-            # not counted, so aggregates agree across sinks exactly.
+            # Spills written before the SLO breach annotations were
+            # dropped carry them; skipped (not even counted), so such a
+            # file still folds to the digest its run printed.
             return
         self._require_started()
         self.record_counts["event"] += 1
@@ -492,34 +441,19 @@ class StreamingTracer(Tracer):
     every raw record to that file — telemetry memory is flat in the
     horizon either way (pinned by ``tests/obs/test_stream.py``), and
     :attr:`spans` / :attr:`events` / :attr:`samples` stay empty.
-    Record ids (``seq``, ``span_id``) advance exactly as in the
-    buffering tracer, so spilled records are comparable across sinks.
+    The sinks only read, so record ids (``seq``, ``span_id``) advance
+    exactly as in the buffering tracer: the spill holds the buffered
+    trace's records, in close order (pinned by
+    ``tests/obs/test_stream.py``).
 
-    SLO specs default to :func:`repro.obs.slo.default_slos` over the
-    run metadata (quality floor ``Q_GE``, power budget ``H``,
-    deadline-miss rate, BQ dwell); pass ``slos`` to override.  First
-    violations are emitted as ``slo_violation`` events, and the
-    machine-readable compliance summary lands in ``meta["slo"]`` at run
-    end.
+    The SLOs are :func:`repro.obs.slo.default_slos` over the run
+    metadata (quality floor ``Q_GE``, power budget ``H``, deadline-miss
+    rate, BQ dwell); the machine-readable compliance summary, with each
+    SLO's first violation, lands in ``meta["slo"]`` at run end.
     """
 
-    def __init__(
-        self,
-        *,
-        spill_path: Optional[str] = None,
-        slos: Optional[List[SLOSpec]] = None,
-        window_width: Optional[float] = None,
-        window_slide: Optional[float] = None,
-    ) -> None:
-        self.aggregator = StreamAggregator(
-            slos=slos,
-            window_width=window_width,
-            window_slide=window_slide,
-            on_violation=lambda name, time, value, threshold: self.event(
-                "slo_violation", time, slo=name, value=float(value),
-                threshold=float(threshold),
-            ),
-        )
+    def __init__(self, *, spill_path: Optional[str] = None) -> None:
+        self.aggregator = StreamAggregator()
         self.spill = None if spill_path is None else JsonlSpill(spill_path)
         super().__init__(
             sinks=(self.aggregator,) if self.spill is None else (self.aggregator, self.spill)
@@ -541,13 +475,7 @@ class StreamingTracer(Tracer):
         return self.aggregator.summary()
 
 
-def fold_records(
-    records: Union[Trace, Iterable[Dict[str, Any]]],
-    *,
-    slos: Optional[List[SLOSpec]] = None,
-    window_width: Optional[float] = None,
-    window_slide: Optional[float] = None,
-) -> StreamAggregator:
+def fold_records(records: Union[Trace, Iterable[Dict[str, Any]]]) -> StreamAggregator:
     """Replay trace records through a fresh :class:`StreamAggregator`.
 
     ``records`` is an iterable of JSON-native record dicts (e.g. from
@@ -564,9 +492,7 @@ def fold_records(
     """
     if isinstance(records, Trace):
         records = trace_records(records)
-    agg = StreamAggregator(
-        slos=slos, window_width=window_width, window_slide=window_slide
-    )
+    agg = StreamAggregator()
     pending: List[TimelineSample] = []
 
     def flush_samples() -> None:
@@ -589,9 +515,6 @@ def fold_records(
             if "end" in record["meta"]:
                 end = float(record["meta"]["end"])
         elif rtype == "event":
-            # Spilled ``slo_violation`` events pass through here too;
-            # the aggregator ignores them (the offline SLO tracker
-            # re-detects its own violations from the source streams).
             agg.on_event(EventRecord.from_record(record))
         elif rtype == "span":
             span = SpanRecord.from_record(record)

@@ -29,18 +29,10 @@ class QualityMonitor:
     ----------
     f:
         The quality function shared by all jobs.
-    history:
-        Optional exponential decay factor in (0, 1].  With the default
-        1.0 the monitor is fully cumulative like the paper's
-        formulation; values < 1 weight recent jobs more (provided for
-        experimentation, not used by the paper's configuration).
     """
 
-    def __init__(self, f: QualityFunction, history: Dimensionless = 1.0) -> None:
-        if not 0.0 < history <= 1.0:
-            raise ValueError(f"history factor must be in (0, 1], got {history!r}")
+    def __init__(self, f: QualityFunction) -> None:
         self.f = f
-        self.history = float(history)
         self._achieved: Dimensionless = 0.0
         self._potential: Dimensionless = 0.0
         self._settled_jobs = 0
@@ -83,9 +75,6 @@ class QualityMonitor:
         if demand < 0 or processed < 0:
             raise ValueError("volumes must be non-negative")
         processed = min(processed, demand)
-        if self.history < 1.0:
-            self._achieved *= self.history
-            self._potential *= self.history
         self._achieved += float(self.f(processed))
         self._potential += float(self.f(demand))
         self._settled_jobs += 1
@@ -117,13 +106,6 @@ class QualityMonitor:
     def trace(self) -> list[Tuple[Seconds, QualityFrac]]:
         """Chronological ``(time, quality)`` samples (when times given)."""
         return list(self._trace)
-
-    def reset(self) -> None:
-        """Forget all settled jobs (for reuse across replications)."""
-        self._achieved = 0.0
-        self._potential = 0.0
-        self._settled_jobs = 0
-        self._trace.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

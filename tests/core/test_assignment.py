@@ -53,13 +53,6 @@ def test_rr_unbalances_with_odd_batches():
     assert counts == [10, 0, 0, 0]
 
 
-def test_crr_reset():
-    crr = CumulativeRoundRobin(m=3)
-    crr.assign(jobs(2), [0] * 3)
-    crr.reset()
-    assert crr.pointer == 0
-
-
 def test_least_loaded_prefers_empty_core():
     ll = LeastLoaded(m=3)
     pairs = ll.assign(jobs(2, demand=50.0), [100.0, 0.0, 30.0])

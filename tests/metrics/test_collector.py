@@ -23,23 +23,12 @@ def test_collector_counts_outcomes():
     c.record_settle(settled_job(3, 0.0, 100.0, JobOutcome.DROPPED))
     assert c.jobs == 3
     assert c.outcomes == {"completed": 1, "cut": 1, "dropped": 1}
-    assert c.processed_volume == pytest.approx(150.0)
-    assert c.demand_volume == pytest.approx(300.0)
-    assert c.volume_ratio == pytest.approx(0.5)
 
 
 def test_collector_rejects_unsettled():
     c = MetricsCollector()
     with pytest.raises(ValueError):
         c.record_settle(Job(jid=1, arrival=0.0, deadline=1.0, demand=10.0))
-
-
-def test_collector_reset():
-    c = MetricsCollector()
-    c.record_settle(settled_job(1, 10.0, 10.0, JobOutcome.COMPLETED))
-    c.reset()
-    assert c.jobs == 0
-    assert c.volume_ratio == 1.0
 
 
 def make_result(**overrides):

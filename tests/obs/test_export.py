@@ -5,18 +5,18 @@ from __future__ import annotations
 import json
 
 from repro.obs.export import (
+    SpansCsv,
+    TimelineCsv,
     read_jsonl,
     trace_records,
     write_jsonl,
-    write_spans_csv,
-    write_timeline_csv,
 )
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Buffer, Tracer
 from repro.workload.job import Job, JobOutcome
 
 
-def build_tracer() -> Tracer:
-    tr = Tracer()
+def build_tracer(*sinks) -> Tracer:
+    tr = Tracer(sinks=(Buffer(), *sinks))
     tr.run_started(0.0, scheduler="GE", arrival_rate=150.0, seed=7)
     job = Job(jid=1, arrival=0.0, deadline=0.15, demand=192.0)
     tr.job_arrived(job, 0.0)
@@ -32,9 +32,12 @@ def build_tracer() -> Tracer:
     # A hand-rolled sample avoids needing a machine here.
     from repro.obs.timeline import TimelineSample
 
-    tr.samples.append(TimelineSample(time=0.5, core=0, speed=1.75,
-                                     power=15.3125, energy=7.65625))
+    sample = TimelineSample(time=0.5, core=0, speed=1.75, power=15.3125,
+                            energy=7.65625)
+    for sink in tr.sinks:
+        sink.on_sample_batch(0.5, [sample])
     tr.meta["end"] = 0.5
+    tr.close()
     return tr
 
 
@@ -99,15 +102,21 @@ class TestJsonlRoundTrip:
 class TestCsvExport:
     def test_timeline_csv(self, tmp_path):
         path = tmp_path / "timeline.csv"
-        rows = write_timeline_csv(build_tracer(), path)
+        sink = TimelineCsv(path)
+        build_tracer(sink)
         lines = path.read_text().splitlines()
-        assert lines[0] == "time,core,speed_ghz,power_w,energy_j"
-        assert len(lines) == rows + 1
+        assert lines == ["time,core,speed_ghz,power_w,energy_j",
+                         "0.5,0,1.75,15.3125,7.65625"]
+        assert sink.written == 1
 
     def test_spans_csv(self, tmp_path):
         path = tmp_path / "spans.csv"
-        rows = write_spans_csv(build_tracer(), path)
+        sink = SpansCsv(path)
+        build_tracer(sink)
         lines = path.read_text().splitlines()
         assert lines[0] == "span_id,parent_id,name,start,end,attrs"
-        assert len(lines) == rows + 1
-        assert rows == 2  # one job span, one exec span
+        assert sink.written == len(lines) - 1 == 2  # one job span, one exec span
+        # Close order: the exec slice closes before its job.
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["1", "0", "exec"], ["0", "", "job"],
+        ]

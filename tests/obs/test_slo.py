@@ -1,4 +1,4 @@
-"""Online SLO monitors: spec validation, folds, summaries, callbacks."""
+"""Online SLO monitors: spec validation, folds, summaries."""
 
 from __future__ import annotations
 
@@ -73,6 +73,17 @@ class TestQualityFloor:
         assert not row["compliant"]
         assert row["first_violation"]["time"] == 2.0
         assert row["first_violation"]["value"] == 0.80
+
+    def test_first_violation_is_kept_once(self):
+        t = tracker_for(SLOSpec(name="q", kind="quality_floor", threshold=0.9))
+        t.on_decision(0.0, mode="aes", quality=0.5)
+        t.on_decision(1.0, mode="aes", quality=0.4)
+        t.finish(2.0)
+        summary = t.summary()
+        assert summary["violations"] == 1
+        assert summary["slos"]["q"]["first_violation"] == {
+            "time": 0.0, "value": 0.5, "threshold": 0.9,
+        }
 
     def test_no_decisions_is_vacuously_compliant(self):
         t = tracker_for(SLOSpec(name="q", kind="quality_floor", threshold=0.9))
@@ -152,17 +163,6 @@ class TestBQDwell:
 
 
 class TestCallbacksAndSummary:
-    def test_callback_fires_exactly_once_per_spec(self):
-        fired = []
-        t = tracker_for(
-            SLOSpec(name="q", kind="quality_floor", threshold=0.9),
-            on_violation=lambda *args: fired.append(args),
-        )
-        t.on_decision(0.0, mode="aes", quality=0.5)
-        t.on_decision(1.0, mode="aes", quality=0.4)
-        t.finish(2.0)
-        assert fired == [("q", 0.0, 0.5, 0.9)]
-
     def test_summary_schema_and_overall_verdict(self):
         t = tracker_for(*default_slos({"q_ge": 0.85, "budget": 40.0}))
         t.on_decision(0.0, mode="aes", quality=0.95)

@@ -56,34 +56,9 @@ def test_trace_records_time_quality_pairs():
     assert trace[1][0] == 2.0
 
 
-def test_reset_clears_state():
-    m = make_monitor()
-    m.record(100.0, 500.0, time=1.0)
-    m.reset()
-    assert m.quality == 1.0
-    assert m.settled_jobs == 0
-    assert m.trace == []
-
-
 def test_negative_volumes_rejected():
     m = make_monitor()
     with pytest.raises(ValueError):
         m.record(-1.0, 100.0)
     with pytest.raises(ValueError):
         m.record(1.0, -100.0)
-
-
-def test_history_factor_weights_recent():
-    m = QualityMonitor(F, history=0.5)
-    m.record(0.0, 500.0)  # bad job
-    for _ in range(10):
-        m.record(500.0, 500.0)  # good stretch
-    # With decay the early bad job is nearly forgotten.
-    assert m.quality > 0.99
-
-
-def test_invalid_history_rejected():
-    with pytest.raises(ValueError):
-        QualityMonitor(F, history=0.0)
-    with pytest.raises(ValueError):
-        QualityMonitor(F, history=1.5)

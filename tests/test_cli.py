@@ -50,6 +50,14 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
+def test_stream_flag_is_gone():
+    # Every traced run streams; the switch that chose it is an error.
+    for command in ("run", "scenario", "trace"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--stream"])
+        assert err.value.code == 2
+
+
 def test_trace_save_and_replay(tmp_path, capsys):
     path = str(tmp_path / "trace.csv")
     assert main(["trace", "save", path, "--rate", "80", "--horizon", "2"]) == 0
@@ -164,6 +172,60 @@ def test_trace_csv_exports(tmp_path, capsys):
     assert spans.read_text().startswith("span_id,parent_id,")
 
 
+def test_trace_store_writes_csv_files(tmp_path, capsys):
+    timeline = tmp_path / "a.csv"
+    spans = tmp_path / "b.csv"
+    code = main(["trace", "--horizon", "2", "--store",
+                 "--runs-dir", str(tmp_path / "runs"),
+                 "--timeline-csv", str(timeline), "--spans-csv", str(spans)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "timeline samples to" in out and "spans to" in out
+    assert "stored run" in out
+    assert len(timeline.read_text().splitlines()) > 1
+    assert len(spans.read_text().splitlines()) > 1
+
+
+def test_trace_csv_files_match_the_buffered_trace(tmp_path, capsys):
+    import csv
+    import json
+
+    from repro.config import SimulationConfig
+    from repro.core.ge import make_ge
+    from repro.obs import Tracer
+    from repro.server.harness import SimulationHarness
+
+    timeline = tmp_path / "timeline.csv"
+    spans = tmp_path / "spans.csv"
+    assert main(["trace", "--rate", "150", "--horizon", "3", "--seed", "1",
+                 "--timeline-csv", str(timeline), "--spans-csv", str(spans),
+                 "--no-summary"]) == 0
+    tracer = Tracer()
+    config = SimulationConfig(arrival_rate=150.0, horizon=3.0, seed=1)
+    SimulationHarness(config, make_ge(), tracer=tracer).run()
+    trace = tracer.to_trace()
+
+    with open(timeline, newline="", encoding="utf-8") as fh:
+        timeline_rows = list(csv.reader(fh))[1:]
+    assert timeline_rows == [
+        [f"{s.time:.9g}", str(s.core), f"{s.speed:.9g}", f"{s.power:.9g}",
+         f"{s.energy:.9g}"]
+        for s in trace.samples
+    ]
+    with open(spans, newline="", encoding="utf-8") as fh:
+        span_rows = list(csv.reader(fh))[1:]
+    expected = [
+        [str(s.span_id), "" if s.parent_id is None else str(s.parent_id), s.name,
+         f"{s.start:.9g}", f"{s.end:.9g}", json.dumps(s.attrs, sort_keys=True)]
+        for s in trace.spans
+    ]
+    assert sorted(span_rows) == sorted(expected)
+    # Written as spans close, so in end-time order (open order is not).
+    ends = [float(row[4]) for row in span_rows]
+    assert ends == sorted(ends)
+    assert [float(row[4]) for row in expected] != ends
+
+
 def test_run_with_trace_out(tmp_path, capsys):
     path = tmp_path / "run.jsonl"
     code = main(["run", "--rate", "110", "--horizon", "2",
@@ -218,7 +280,7 @@ def test_trace_with_sanitize(tmp_path, capsys):
 # ----------------------------------------------------------------------
 def test_run_stream_prints_slo_panel(capsys):
     code = main(["run", "--scheduler", "GE", "--rate", "120",
-                 "--horizon", "3", "--stream"])
+                 "--horizon", "3", "--trace"])
     assert code == 0
     out = capsys.readouterr().out
     assert "slo:" in out and "quality_floor" in out
@@ -226,7 +288,7 @@ def test_run_stream_prints_slo_panel(capsys):
 
 def test_stream_composes_with_sanitize(capsys):
     code = main(["run", "--scheduler", "GE", "--rate", "100", "--horizon", "2",
-                 "--stream", "--sanitize"])
+                 "--trace", "--sanitize"])
     assert code == 0
     out = capsys.readouterr().out
     assert "slo:" in out and "quality_floor" in out
@@ -236,7 +298,7 @@ def test_stream_composes_with_sanitize(capsys):
 def test_store_and_runs_lifecycle(tmp_path, capsys):
     runs_dir = str(tmp_path / "runs")
     trace = str(tmp_path / "trace.jsonl")
-    # --store implies --stream; --trace-out spills the raw records too.
+    # --store traces the run; --trace-out spills the raw records too.
     code = main(["run", "--scheduler", "GE", "--rate", "120", "--horizon", "3",
                  "--store", "--runs-dir", runs_dir, "--trace-out", trace])
     assert code == 0
@@ -284,7 +346,7 @@ def test_runs_show_unknown_id_errors(tmp_path, capsys):
 def test_report_from_trace_and_trace_show(tmp_path, capsys):
     trace = str(tmp_path / "trace.jsonl")
     assert main(["trace", "--scheduler", "GE", "--rate", "120", "--horizon", "3",
-                 "--stream", "--out", trace, "--no-summary"]) == 0
+                 "--out", trace, "--no-summary"]) == 0
     capsys.readouterr()
     report = str(tmp_path / "report.html")
     assert main(["report", "--trace", trace, "--out", report]) == 0
@@ -296,23 +358,32 @@ def test_report_from_trace_and_trace_show(tmp_path, capsys):
 
 
 def test_every_path_prints_one_digest(tmp_path, capsys):
-    # A buffered run, a streamed run and `trace show` of either file
-    # print the same digest from the SLO panel on, under the same id.
-    buffered = str(tmp_path / "t.jsonl")
-    streamed = str(tmp_path / "s.jsonl")
-    run = ["trace", "--rate", "150", "--horizon", "3", "--seed", "1"]
+    # A traced run, `trace show` of its file and the digest of an API
+    # Tracer's buffered trace print the same lines from the SLO panel
+    # on, under the same run id.
+    from repro.config import SimulationConfig
+    from repro.core.ge import make_ge
+    from repro.obs import Tracer, summarize
+    from repro.server.harness import SimulationHarness
+
+    path = str(tmp_path / "t.jsonl")
     outputs = []
-    for argv in (run + ["--out", buffered], ["trace", "show", buffered],
-                 run + ["--stream", "--out", streamed], ["trace", "show", streamed]):
+    for argv in (["trace", "--rate", "150", "--horizon", "3", "--seed", "1",
+                  "--out", path], ["trace", "show", path]):
         assert main(argv) == 0
         outputs.append(capsys.readouterr().out.splitlines())
+    tracer = Tracer()
+    config = SimulationConfig(arrival_rate=150.0, horizon=3.0, seed=1)
+    SimulationHarness(config, make_ge(), tracer=tracer).run()
+    outputs.append(summarize(tracer.to_trace()).splitlines())
     run_lines = [line for line in outputs[0] if line.startswith("run ")]
+    assert len(run_lines) == 1
     digests = []
     for lines in outputs:
         assert [line for line in lines if line.startswith("run ")] == run_lines
         slo = next(i for i, line in enumerate(lines) if line.startswith("  slo:"))
         digests.append(lines[slo:])
-    assert digests[1:] == [digests[0]] * 3
+    assert digests[1:] == [digests[0]] * 2
     assert any(line.startswith("  jobs (") for line in digests[0])
     assert any(line.startswith("  metrics:") for line in digests[0])
 

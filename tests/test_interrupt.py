@@ -70,7 +70,7 @@ class TestSigint:
         proc = spawn_cli(
             "run", "--scheduler", "GE", "--rate", "150",
             "--horizon", "600", "--seed", "1",
-            "--stream", "--trace-out", str(spill),
+            "--trace-out", str(spill),
             cwd=tmp_path,
         )
         try:
