@@ -534,9 +534,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "runs":
         from repro.errors import ReproError
         from repro.obs.runs import (
+            FLEET_SCHEMA,
             RunStore,
             diff_runs,
             format_diff,
+            format_fleet,
             format_run,
             format_runs_table,
         )
@@ -552,7 +554,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 else:
                     print(format_runs_table(rows))
             elif args.runs_command == "show":
-                print(format_run(registry.load(args.run_id)))
+                summary = registry.load(args.run_id)
+                if summary.get("schema") == FLEET_SCHEMA:
+                    print(format_fleet(summary))
+                else:
+                    print(format_run(summary))
             elif args.runs_command == "diff":
                 print(format_diff(diff_runs(registry.load(args.a),
                                             registry.load(args.b))))

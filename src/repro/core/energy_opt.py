@@ -45,66 +45,6 @@ class BlockSpeed:
     speed: Speed
 
 
-#: Batch size below which the pure-Python staircase beats the numpy one
-#: (per-core GE batches are almost always this small).
-_SMALL_N = 32
-
-
-def _yds_staircase_small(
-    vols: VolumeSeq, dls: SecondsSeq, now: Seconds, max_speed: Speed
-) -> List[BlockSpeed]:
-    """Pure-Python staircase for small batches.
-
-    Mirrors the vectorized loop in :func:`yds_schedule` operation for
-    operation — sequential prefix sums are bitwise equal to
-    ``np.cumsum``, and max/threshold selection uses the same float
-    comparisons — so both paths produce identical blocks (asserted by
-    ``tests/core/test_energy_opt.py``).
-    """
-    vlist = vols if isinstance(vols, list) else np.asarray(vols).tolist()
-    dlist = dls if isinstance(dls, list) else np.asarray(dls).tolist()
-    n = len(vlist)
-    prefix = [0.0] * (n + 1)
-    acc = 0.0
-    for i, v in enumerate(vlist):
-        acc += v
-        prefix[i + 1] = acc
-    blocks: List[BlockSpeed] = []
-    start = 0
-    t = now
-    cap_slack = max_speed * (1.0 + 1e-9)
-    while start < n:
-        base = prefix[start]
-        peak = -math.inf
-        intensities = []
-        for k in range(start, n):
-            span = dlist[k] - t
-            if span <= 0:
-                raise InfeasibleError(
-                    "deadline at or before block start — infeasible batch"
-                )
-            intensity = (prefix[k + 1] - base) / span
-            intensities.append(intensity)
-            if intensity > peak:
-                peak = intensity
-        # Longest prefix achieving the peak (canonical maximal block).
-        threshold = peak * (1.0 - 1e-12)
-        k_sel = 0
-        for i, intensity in enumerate(intensities):
-            if intensity >= threshold:
-                k_sel = i
-        speed = intensities[k_sel]
-        if speed > cap_slack:
-            raise InfeasibleError(
-                f"required speed {speed:.6g} exceeds cap {max_speed:.6g} units/s"
-            )
-        speed = min(speed, max_speed)
-        blocks.append(BlockSpeed(jobs=tuple(range(start, start + k_sel + 1)), speed=speed))
-        t = t + (prefix[start + k_sel + 1] - base) / speed
-        start += k_sel + 1
-    return blocks
-
-
 def yds_schedule(
     volumes: VolumeSeq,
     deadlines: SecondsSeq,
@@ -139,11 +79,12 @@ def yds_schedule(
     ``[now, d_k]`` maximizing ``Σ_{i≤k} v_i / (d_k − now)``; jobs of the
     prefix run at exactly that intensity and finish at ``d_k``, after
     which the argument repeats on the suffix starting at ``d_k``.
+
+    The staircase runs on Python lists: sequential prefix sums are
+    bitwise equal to ``np.cumsum``, and the max/threshold selection uses
+    the same float comparisons, so the blocks equal, bit for bit, those
+    of the vectorized NumPy oracle in ``tests/core/test_energy_opt.py``.
     """
-    # The whole small-batch path (validation included) runs on Python
-    # lists: scalar compares/subtract/divide are bitwise equal to the
-    # np.any/np.diff formulation they replaced, and list inputs from the
-    # planner skip array construction entirely.
     if isinstance(volumes, np.ndarray):
         vlist = volumes.tolist()
     else:
@@ -183,36 +124,46 @@ def yds_schedule(
     if n and dlist[0] <= now:
         raise InfeasibleError(f"first deadline {dlist[0]!r} is not after now={now!r}")
 
-    if n <= _SMALL_N:
-        return _yds_staircase_small(vlist, dlist, now, max_speed)
-
-    vols = np.asarray(vlist, dtype=float)
-    dls = np.asarray(dlist, dtype=float)
+    prefix = [0.0] * (n + 1)
+    acc = 0.0
+    for i, v in enumerate(vlist):
+        acc += v
+        prefix[i + 1] = acc
     blocks: List[BlockSpeed] = []
     start = 0
     t = now
-    prefix = np.concatenate([[0.0], np.cumsum(vols)])
+    cap_slack = max_speed * (1.0 + 1e-9)
     while start < n:
         # Intensity of each candidate prefix of the remaining jobs.
-        cumulative = prefix[start + 1 :] - prefix[start]
-        spans = dls[start:] - t
-        if np.any(spans <= 0):
-            raise InfeasibleError("deadline at or before block start — infeasible batch")
-        intensity = cumulative / spans
-        peak = float(np.max(intensity))
+        base = prefix[start]
+        peak = -math.inf
+        intensities = []
+        for k in range(start, n):
+            span = dlist[k] - t
+            if span <= 0:
+                raise InfeasibleError(
+                    "deadline at or before block start — infeasible batch"
+                )
+            intensity = (prefix[k + 1] - base) / span
+            intensities.append(intensity)
+            if intensity > peak:
+                peak = intensity
         # Prefer the longest prefix achieving the peak so equal-intensity
         # jobs merge into one maximal critical block (canonical YDS).
-        k = int(np.nonzero(intensity >= peak * (1.0 - 1e-12))[0][-1])
-        speed = float(intensity[k])
-        if speed > max_speed * (1.0 + 1e-9):
+        threshold = peak * (1.0 - 1e-12)
+        k_sel = 0
+        for i, intensity in enumerate(intensities):
+            if intensity >= threshold:
+                k_sel = i
+        speed = intensities[k_sel]
+        if speed > cap_slack:
             raise InfeasibleError(
                 f"required speed {speed:.6g} exceeds cap {max_speed:.6g} units/s"
             )
         speed = min(speed, max_speed)
-        jobs = tuple(range(start, start + k + 1))
-        blocks.append(BlockSpeed(jobs=jobs, speed=speed))
-        t = t + float(cumulative[k]) / speed
-        start = start + k + 1
+        blocks.append(BlockSpeed(jobs=tuple(range(start, start + k_sel + 1)), speed=speed))
+        t = t + (prefix[start + k_sel + 1] - base) / speed
+        start += k_sel + 1
     return blocks
 
 

@@ -168,10 +168,13 @@ def _worker_main(conn: "Connection") -> None:
 # ----------------------------------------------------------------------
 # Rollup (a pure function of the per-task results)
 # ----------------------------------------------------------------------
-def cross_run_quantiles(
-    values: List[float], qs: Tuple[float, ...] = (0.5, 0.9)
-) -> Dict[str, float]:
-    """Exact quantiles across per-run scalars (linear interpolation).
+#: The quantiles the fleet rollup reports across runs.
+CROSS_RUN_QUANTILES: Tuple[float, ...] = (0.5, 0.9)
+
+
+def cross_run_quantiles(values: List[float]) -> Dict[str, float]:
+    """Exact :data:`CROSS_RUN_QUANTILES` across per-run scalars (linear
+    interpolation).
 
     The fleet rollup merges telemetry *across* runs at this level —
     per-run scalars, sorted, interpolated — because the within-run P²
@@ -186,7 +189,7 @@ def cross_run_quantiles(
     ordered = sorted(values)
     out: Dict[str, float] = {}
     n = len(ordered)
-    for q in qs:
+    for q in CROSS_RUN_QUANTILES:
         pos = q * (n - 1)
         lo = int(pos)
         hi = min(lo + 1, n - 1)

@@ -27,10 +27,10 @@ event schema.
 The tracer hands every record to its :class:`Sink` tuple — by default
 one :class:`Buffer`.  For long horizons,
 :class:`repro.obs.stream.StreamingTracer` swaps the buffer for
-constant-memory windowed aggregation plus online SLO monitoring
-(:mod:`repro.obs.slo`) and an optional :class:`JsonlSpill`; finished
-runs land in the run registry (:mod:`repro.obs.runs`) and render to an
-HTML dashboard (:mod:`repro.obs.report`)::
+constant-memory windowed aggregation, online monitoring of four fixed
+SLOs (:class:`SLOTracker`) and an optional :class:`JsonlSpill`;
+finished runs land in the run registry (:mod:`repro.obs.runs`) and
+render to an HTML dashboard (:mod:`repro.obs.report`)::
 
     from repro.obs import StreamingTracer
 
@@ -69,7 +69,7 @@ from repro.obs.runs import (
     make_summary,
     run_id_for,
 )
-from repro.obs.slo import SLOSpec, SLOTracker, default_slos
+from repro.obs.slo import SLOTracker
 from repro.obs.spans import EventRecord, SpanRecord
 from repro.obs.stream import (
     StreamAggregator,
@@ -98,7 +98,6 @@ __all__ = [
     "P2Quantile",
     "QuantileSketch",
     "RunStore",
-    "SLOSpec",
     "SLOTracker",
     "Sink",
     "SpanRecord",
@@ -110,7 +109,6 @@ __all__ = [
     "Trace",
     "Tracer",
     "WindowSeries",
-    "default_slos",
     "diff_runs",
     "fold_records",
     "fold_summary",

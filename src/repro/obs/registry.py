@@ -20,7 +20,7 @@ system:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -30,6 +30,12 @@ __all__ = [
     "P2Quantile",
     "QuantileSketch",
 ]
+
+#: Equal-width buckets of every :class:`Histogram` over ``[0, bound)``.
+HISTOGRAM_BUCKETS = 10
+
+#: The quantiles every :class:`QuantileSketch` tracks.
+SKETCH_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
 
 
 class Counter:
@@ -73,10 +79,10 @@ class Gauge:
 class Histogram:
     """Streaming summary of observed values.
 
-    Tracks count / sum / min / max exactly, plus ``nbuckets`` equal-width
-    buckets over ``[0, bound)`` with an overflow bucket at the end.  The
-    default bound of 1.0 suits ratios (cut fraction); pass a larger
-    bound for sizes or latencies.
+    Tracks count / sum / min / max exactly, plus
+    :data:`HISTOGRAM_BUCKETS` equal-width buckets over ``[0, bound)``
+    with an overflow bucket at the end.  The default bound of 1.0 suits
+    ratios (cut fraction); pass a larger bound for sizes or latencies.
 
     Observations outside ``[0, bound)`` are still clamped into the edge
     buckets (so the bucket array always sums to ``count``), but they are
@@ -91,16 +97,16 @@ class Histogram:
         "overflow", "underflow",
     )
 
-    def __init__(self, name: str, *, bound: float = 1.0, nbuckets: int = 10) -> None:
-        if bound <= 0 or nbuckets < 1:
-            raise ValueError(f"histogram {name}: bound and nbuckets must be positive")
+    def __init__(self, name: str, *, bound: float = 1.0) -> None:
+        if bound <= 0:
+            raise ValueError(f"histogram {name}: bound must be positive")
         self.name = name
         self.bound = float(bound)
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self.buckets: List[int] = [0] * (nbuckets + 1)  # last = overflow
+        self.buckets: List[int] = [0] * (HISTOGRAM_BUCKETS + 1)  # last = overflow
         self.overflow = 0
         self.underflow = 0
 
@@ -111,15 +117,14 @@ class Histogram:
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-        nbuckets = len(self.buckets) - 1
         if value < 0:
             self.underflow += 1
             idx = 0
         else:
-            idx = int(value / self.bound * nbuckets)
-            if idx >= nbuckets:
+            idx = int(value / self.bound * HISTOGRAM_BUCKETS)
+            if idx >= HISTOGRAM_BUCKETS:
                 self.overflow += 1
-        self.buckets[min(idx, nbuckets)] += 1
+        self.buckets[min(idx, HISTOGRAM_BUCKETS)] += 1
 
     @property
     def mean(self) -> float:
@@ -246,30 +251,24 @@ class QuantileSketch:
     """Constant-memory percentile estimates over one value stream.
 
     Tracks count / min / max exactly plus one :class:`P2Quantile`
-    marker set per requested quantile.  ``snapshot()`` renders the
-    estimates under ``"p50"``-style keys.  Memory is O(len(qs)) —
-    independent of the observation count — which is what lets
-    :class:`repro.obs.stream.StreamingTracer` report percentiles over
-    arbitrarily long horizons without buffering a trace.
+    marker set per quantile of :data:`SKETCH_QUANTILES`.
+    ``snapshot()`` renders the estimates under ``"p50"``-style keys.
+    Memory is constant — independent of the observation count — which
+    is what lets :class:`repro.obs.stream.StreamingTracer` report
+    percentiles over arbitrarily long horizons without buffering a
+    trace.
     """
 
     __slots__ = ("name", "count", "min", "max", "_estimators")
 
-    def __init__(
-        self, name: str, *, qs: Sequence[float] = (0.5, 0.9, 0.99)
-    ) -> None:
-        if not qs:
-            raise ValueError(f"quantile sketch {name}: qs must be non-empty")
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self._estimators: Tuple[P2Quantile, ...] = tuple(P2Quantile(q) for q in qs)
-
-    @property
-    def qs(self) -> Tuple[float, ...]:
-        """The tracked quantiles, in construction order."""
-        return tuple(e.q for e in self._estimators)
+        self._estimators: Tuple[P2Quantile, ...] = tuple(
+            P2Quantile(q) for q in SKETCH_QUANTILES
+        )
 
     def observe(self, value: float) -> None:
         """Record one observation in every tracked quantile."""
@@ -280,17 +279,9 @@ class QuantileSketch:
         for estimator in self._estimators:
             estimator.observe(value)
 
-    def estimate(self, q: float) -> Optional[float]:
-        """Estimate for one tracked quantile (KeyError if untracked)."""
-        for estimator in self._estimators:
-            if estimator.q == q:
-                return estimator.value
-        raise KeyError(f"quantile {q!r} not tracked by sketch {self.name!r}")
-
-    @staticmethod
-    def _label(q: float) -> str:
-        text = f"{q * 100:g}"
-        return f"p{text}"
+    def estimates(self) -> Dict[str, Optional[float]]:
+        """Current estimates keyed ``p50``/``p90``/``p99``."""
+        return {f"p{e.q * 100:g}": e.value for e in self._estimators}
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-native state (``estimates`` keyed ``p50``/``p90``/...)."""
@@ -299,10 +290,8 @@ class QuantileSketch:
             "count": self.count,
             "min": self.min,
             "max": self.max,
-            "qs": list(self.qs),
-            "estimates": {
-                self._label(e.q): e.value for e in self._estimators
-            },
+            "qs": list(SKETCH_QUANTILES),
+            "estimates": self.estimates(),
         }
 
 
@@ -331,19 +320,13 @@ class MetricsRegistry:
         """Get or create the named gauge."""
         return self._get(name, lambda: Gauge(name), Gauge)
 
-    def histogram(self, name: str, *, bound: float = 1.0, nbuckets: int = 10) -> Histogram:
-        """Get or create the named histogram (shape args apply on creation)."""
-        return self._get(
-            name, lambda: Histogram(name, bound=bound, nbuckets=nbuckets), Histogram
-        )
+    def histogram(self, name: str, *, bound: float = 1.0) -> Histogram:
+        """Get or create the named histogram (``bound`` applies on creation)."""
+        return self._get(name, lambda: Histogram(name, bound=bound), Histogram)
 
-    def quantiles(
-        self, name: str, *, qs: Sequence[float] = (0.5, 0.9, 0.99)
-    ) -> QuantileSketch:
-        """Get or create the named quantile sketch (``qs`` applies on creation)."""
-        return self._get(
-            name, lambda: QuantileSketch(name, qs=qs), QuantileSketch
-        )
+    def quantiles(self, name: str) -> QuantileSketch:
+        """Get or create the named quantile sketch."""
+        return self._get(name, lambda: QuantileSketch(name), QuantileSketch)
 
     def names(self) -> List[str]:
         """Registered metric names, sorted."""

@@ -2,24 +2,28 @@
 
 The GE scheduler's contract is operational, not retrospective: keep
 aggregate quality at or above ``Q_GE`` while total power stays inside
-the budget ``H``.  These monitors evaluate that contract *while the
-simulation runs*, from the same record streams the tracer already
-emits — no trace buffering, no post-hoc pass:
+the budget ``H``.  :class:`SLOTracker` evaluates that contract *while
+the simulation runs*, from the same record streams the tracer already
+emits — no trace buffering, no post-hoc pass — as four fixed
+objectives, in summary order:
 
 * ``quality_floor`` — fraction of decided time with monitor quality at
-  or above the floor (piecewise-constant between rounds, left value);
-* ``power_budget`` — per-sample headroom ``H − ΣP(t)`` with
-  constant-memory P² percentiles and a compliant-sample fraction;
+  or above ``meta["q_ge"]`` (piecewise-constant between rounds, left
+  value);
+* ``power_budget`` — per-sample headroom ``H − ΣP(t)`` against
+  ``meta["budget"]``, with constant-memory P² percentiles and a
+  compliant-sample fraction;
 * ``deadline_miss`` — expired + dropped jobs as a fraction of settled
-  jobs, against a maximum rate;
+  jobs, at most :data:`MAX_MISS_RATE`;
 * ``bq_dwell`` — fraction of decided time spent in BQ (compensation)
-  mode, against a maximum dwell.
+  mode, at most :data:`MAX_BQ_DWELL`.
 
-Each spec records its first violation once, at the first observation
-that breaches it, and :meth:`SLOTracker.summary` renders a
-machine-readable compliance summary (with each first violation's time,
-value and threshold) that lands in the trace metadata under
-``meta["slo"]``.
+The first two are armed only when the run metadata holds ``q_ge`` /
+``budget`` (unbudgeted baselines leave them out).  Each objective
+records its first violation once, at the first observation that
+breaches it, and :meth:`SLOTracker.summary` renders a machine-readable
+compliance summary (with each first violation's time, value and
+threshold) that lands in the trace metadata under ``meta["slo"]``.
 
 Everything here is a pure fold over the observation sequence — no wall
 clock, no randomness — so an offline replay of the exported JSONL
@@ -29,26 +33,35 @@ reproduces the online summary bit-for-bit (pinned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.obs.registry import MetricsRegistry, QuantileSketch
 from repro.units import QualityFrac, Seconds, Watts
 
-__all__ = [
-    "SLO_KINDS",
-    "SLOSpec",
-    "SLOTracker",
-    "default_slos",
-]
+__all__ = ["SLOTracker"]
 
 #: Schema tag for the compliance summary (``meta["slo"]["schema"]``).
 SLO_SCHEMA = "repro.slo/1"
 
-#: The monitor kinds :class:`SLOTracker` can evaluate.
-SLO_KINDS: Tuple[str, ...] = (
-    "quality_floor", "power_budget", "deadline_miss", "bq_dwell",
-)
+#: Each objective's description, in summary order (the HTML SLO table
+#: iterates ``meta["slo"]["slos"]``).
+DESCRIPTIONS: Dict[str, str] = {
+    "quality_floor": "aggregate quality stays at or above Q_GE",
+    "power_budget": "total dynamic power stays within the budget H",
+    "deadline_miss": "expired+dropped jobs stay under 10% of settled",
+    "bq_dwell": "BQ (compensation) mode holds under 50% of decided time",
+}
+
+#: Maximum fraction of settled jobs that expire or are dropped.
+MAX_MISS_RATE = 0.1
+
+#: Maximum fraction of decided time spent in BQ mode.
+MAX_BQ_DWELL = 0.5
+
+#: The rate objectives (``deadline_miss``, ``bq_dwell``) fire only once
+#: this many settled jobs / decision rounds have been folded, so the
+#: first unlucky job of a run does not trip them.
+RATE_MIN_SAMPLES = 20
 
 #: Job outcomes that count as a deadline miss.
 _MISS_OUTCOMES = frozenset({"expired", "dropped"})
@@ -58,122 +71,30 @@ _MISS_OUTCOMES = frozenset({"expired", "dropped"})
 #: not violations (mirrors the runtime sanitizer's tolerance).
 _REL_EPS = 1e-6
 
-@dataclass(frozen=True)
-class SLOSpec:
-    """One declarative service-level objective.
-
-    Attributes
-    ----------
-    name:
-        Unique key in the compliance summary.
-    kind:
-        One of :data:`SLO_KINDS`; selects the evaluation rule.
-    threshold:
-        The bound: quality floor (``>=``), power budget in watts
-        (``<=``), maximum miss rate (``<=``) or maximum BQ dwell
-        fraction (``<=``).
-    min_samples:
-        Rate-style monitors (``deadline_miss``, ``bq_dwell``) only
-        report a violation once this many observations (settled jobs /
-        decision rounds) have been folded, so the first unlucky job of
-        a run does not trip a rate SLO.
-    description:
-        Free-text note carried into the summary.
-    """
-
-    name: str
-    kind: str
-    threshold: float
-    min_samples: int = 0
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in SLO_KINDS:
-            raise ValueError(
-                f"SLO {self.name!r}: unknown kind {self.kind!r} "
-                f"(expected one of {', '.join(SLO_KINDS)})"
-            )
-        if self.min_samples < 0:
-            raise ValueError(f"SLO {self.name!r}: min_samples must be >= 0")
-
-    def to_record(self) -> Dict[str, Any]:
-        """JSON-native spec (embedded in the compliance summary)."""
-        return {
-            "kind": self.kind,
-            "threshold": self.threshold,
-            "min_samples": self.min_samples,
-            "description": self.description,
-        }
-
-
-def default_slos(meta: Dict[str, Any]) -> List[SLOSpec]:
-    """The paper's standard objectives, parameterized by run metadata.
-
-    ``quality_floor`` comes from ``meta["q_ge"]`` and ``power_budget``
-    from ``meta["budget"]`` (each omitted when absent or null, e.g.
-    unbudgeted baselines).  ``deadline_miss`` (max 10 %) and
-    ``bq_dwell`` (max 50 % of decided time) are always installed; on
-    schedulers that emit no decisions they report ``no_data`` and count
-    as vacuously compliant.
-    """
-    specs: List[SLOSpec] = []
-    q_ge = meta.get("q_ge")
-    if q_ge is not None:
-        specs.append(SLOSpec(
-            name="quality_floor", kind="quality_floor", threshold=float(q_ge),
-            description="aggregate quality stays at or above Q_GE",
-        ))
-    budget = meta.get("budget")
-    if budget is not None:
-        specs.append(SLOSpec(
-            name="power_budget", kind="power_budget", threshold=float(budget),
-            description="total dynamic power stays within the budget H",
-        ))
-    specs.append(SLOSpec(
-        name="deadline_miss", kind="deadline_miss", threshold=0.1,
-        min_samples=20,
-        description="expired+dropped jobs stay under 10% of settled",
-    ))
-    specs.append(SLOSpec(
-        name="bq_dwell", kind="bq_dwell", threshold=0.5, min_samples=20,
-        description="BQ (compensation) mode holds under 50% of decided time",
-    ))
-    return specs
-
 
 class SLOTracker:
     """Folds decision / sample / settle streams into SLO compliance.
 
-    One instance per run.  Entry points mirror the trace streams
-    (:meth:`on_decision`, :meth:`on_power`, :meth:`on_settle`); call
-    :meth:`finish` once at run end to close the time-weighted
-    accumulators, then :meth:`summary` for the machine-readable result.
+    One instance per run, armed from the run metadata: ``q_ge`` and
+    ``budget`` (each optional) set the quality floor and the power
+    budget, and the headroom sketch ``slo.power_headroom_w`` is
+    registered in ``registry`` when a budget is armed.  Entry points
+    mirror the trace streams (:meth:`on_decision`, :meth:`on_power`,
+    :meth:`on_settle`); call :meth:`finish` once at run end to close the
+    time-weighted accumulators, then :meth:`summary` for the
+    machine-readable result.
 
     The fold is deterministic: state depends only on the observation
     sequence, never on wall time, so online evaluation during a run and
     offline replay of its exported trace agree exactly.
     """
 
-    def __init__(
-        self,
-        specs: List[SLOSpec],
-        *,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        seen: Dict[str, SLOSpec] = {}
-        by_kind: Dict[str, SLOSpec] = {}
-        for spec in specs:
-            if spec.name in seen:
-                raise ValueError(f"duplicate SLO name {spec.name!r}")
-            if spec.kind in by_kind:
-                raise ValueError(
-                    f"SLOs {by_kind[spec.kind].name!r} and {spec.name!r} "
-                    f"share kind {spec.kind!r} (one monitor per kind)"
-                )
-            seen[spec.name] = spec
-            by_kind[spec.kind] = spec
-        self.specs = list(specs)
-        self._by_kind = by_kind
+    def __init__(self, meta: Dict[str, Any], registry: MetricsRegistry) -> None:
+        q_ge = meta.get("q_ge")
+        budget = meta.get("budget")
+        # Quality floor Q_GE and power budget H (None: not armed).
+        self._q_ge = None if q_ge is None else float(q_ge)
+        self._budget = None if budget is None else float(budget)
         self._violations: Dict[str, Dict[str, Any]] = {}
         self._finished = False
         # Decision-stream state (quality_floor + bq_dwell share it).
@@ -188,25 +109,19 @@ class SLOTracker:
         self._power_samples = 0
         self._power_ok = 0
         self._headroom: Optional[QuantileSketch] = None
-        if "power_budget" in by_kind:
-            reg = registry if registry is not None else MetricsRegistry()
-            self._headroom = reg.quantiles(
-                "slo.power_headroom_w", qs=(0.5, 0.9, 0.99)
-            )
+        if self._budget is not None:
+            self._headroom = registry.quantiles("slo.power_headroom_w")
         # Settle-stream state (deadline_miss).
         self._settled = 0
         self._missed = 0
 
-    # ------------------------------------------------------------------
-    # Violation bookkeeping
-    # ------------------------------------------------------------------
-    def _violate(self, spec: SLOSpec, time: Seconds, value: float) -> None:
-        if spec.name in self._violations:
+    def _violate(self, name: str, threshold: float, time: Seconds, value: float) -> None:
+        if name in self._violations:
             return
-        self._violations[spec.name] = {
+        self._violations[name] = {
             "time": float(time),
             "value": float(value),
-            "threshold": spec.threshold,
+            "threshold": threshold,
         }
 
     # ------------------------------------------------------------------
@@ -220,18 +135,12 @@ class SLOTracker:
         self._last_time = float(time)
         self._last_quality = float(quality)
         self._last_mode = mode
-        spec = self._by_kind.get("quality_floor")
-        if spec is not None and quality < spec.threshold:
-            self._violate(spec, time, quality)
-        spec = self._by_kind.get("bq_dwell")
-        if (
-            spec is not None
-            and self._decisions >= max(1, spec.min_samples)
-            and self._decided > 0.0
-        ):
+        if self._q_ge is not None and quality < self._q_ge:
+            self._violate("quality_floor", self._q_ge, time, quality)
+        if self._decisions >= RATE_MIN_SAMPLES and self._decided > 0.0:
             fraction = self._bq_time / self._decided
-            if fraction > spec.threshold:
-                self._violate(spec, time, fraction)
+            if fraction > MAX_BQ_DWELL:
+                self._violate("bq_dwell", MAX_BQ_DWELL, time, fraction)
 
     def _accumulate(self, until: Seconds) -> None:
         assert self._last_time is not None
@@ -239,37 +148,35 @@ class SLOTracker:
         if dt <= 0.0:
             return
         self._decided += dt
-        quality_spec = self._by_kind.get("quality_floor")
-        if quality_spec is None or self._last_quality >= quality_spec.threshold:
+        if self._q_ge is None or self._last_quality >= self._q_ge:
             self._quality_ok += dt
         if self._last_mode == "bq":
             self._bq_time += dt
 
     def on_power(self, time: Seconds, total_power: Watts) -> None:
         """Fold one quantum boundary's total power draw (all cores)."""
-        spec = self._by_kind.get("power_budget")
-        if spec is None:
+        budget = self._budget
+        if budget is None:
             return
-        headroom = spec.threshold - float(total_power)
+        headroom = budget - float(total_power)
         assert self._headroom is not None
         self._headroom.observe(headroom)
         self._power_samples += 1
-        eps = _REL_EPS * max(1.0, abs(spec.threshold))
+        eps = _REL_EPS * max(1.0, abs(budget))
         if headroom >= -eps:
             self._power_ok += 1
         else:
-            self._violate(spec, time, float(total_power))
+            self._violate("power_budget", budget, time, float(total_power))
 
     def on_settle(self, time: Seconds, *, outcome: str) -> None:
         """Fold one settled job (``settle`` event)."""
         self._settled += 1
         if outcome in _MISS_OUTCOMES:
             self._missed += 1
-        spec = self._by_kind.get("deadline_miss")
-        if spec is not None and self._settled >= max(1, spec.min_samples):
+        if self._settled >= RATE_MIN_SAMPLES:
             rate = self._missed / self._settled
-            if rate > spec.threshold:
-                self._violate(spec, time, rate)
+            if rate > MAX_MISS_RATE:
+                self._violate("deadline_miss", MAX_MISS_RATE, time, rate)
 
     def finish(self, end: Seconds) -> None:
         """Close the time-weighted accumulators at simulated ``end``."""
@@ -278,81 +185,100 @@ class SLOTracker:
         self._finished = True
         if self._last_time is not None:
             self._accumulate(end)
-            spec = self._by_kind.get("bq_dwell")
-            if spec is not None and self._decided > 0.0:
+            if self._decided > 0.0:
                 fraction = self._bq_time / self._decided
-                if fraction > spec.threshold:
-                    self._violate(spec, end, fraction)
+                if fraction > MAX_BQ_DWELL:
+                    self._violate("bq_dwell", MAX_BQ_DWELL, end, fraction)
 
     # ------------------------------------------------------------------
     # Summary
     # ------------------------------------------------------------------
-    def _observed(self, spec: SLOSpec) -> Tuple[Optional[float], Dict[str, Any], bool]:
-        """(compliance, observed-detail, no_data) for one spec."""
-        if spec.kind == "quality_floor":
-            if self._decided <= 0.0:
-                return None, {"decided_time_s": 0.0}, True
-            return (
-                self._quality_ok / self._decided,
-                {"decided_time_s": self._decided, "ok_time_s": self._quality_ok},
-                False,
-            )
-        if spec.kind == "power_budget":
-            if self._power_samples == 0:
-                return None, {"samples": 0}, True
-            sketch = self._headroom
-            assert sketch is not None
-            detail: Dict[str, Any] = {
-                "samples": self._power_samples,
-                "headroom_min_w": sketch.min,
-                "headroom_max_w": sketch.max,
-            }
-            for q in sketch.qs:
-                detail[f"headroom_p{q * 100:g}_w"] = sketch.estimate(q)
-            return self._power_ok / self._power_samples, detail, False
-        if spec.kind == "deadline_miss":
-            if self._settled == 0:
-                return None, {"settled": 0, "missed": 0}, True
-            rate = self._missed / self._settled
-            return (
-                1.0 - rate,
-                {"settled": self._settled, "missed": self._missed,
-                 "miss_rate": rate},
-                False,
-            )
-        # bq_dwell
-        if self._decided <= 0.0:
-            return None, {"decided_time_s": 0.0}, True
-        fraction = self._bq_time / self._decided
-        return (
-            1.0 - fraction,
-            {"decided_time_s": self._decided, "bq_time_s": self._bq_time,
-             "bq_fraction": fraction},
-            False,
-        )
+    def _row(
+        self,
+        name: str,
+        threshold: float,
+        min_samples: int,
+        compliance: Optional[float],
+        observed: Dict[str, Any],
+    ) -> Dict[str, Any]:
+        violation = self._violations.get(name)
+        return {
+            "kind": name,
+            "threshold": threshold,
+            "min_samples": min_samples,
+            "description": DESCRIPTIONS[name],
+            "compliant": violation is None,
+            "compliance": compliance,
+            "no_data": compliance is None,
+            "first_violation": dict(violation) if violation is not None else None,
+            "observed": observed,
+        }
 
     def summary(self) -> Dict[str, Any]:
         """Machine-readable compliance summary (JSON-native).
 
-        ``slos`` maps each spec name to its record: the spec itself,
-        a ``compliant`` verdict (no violation fired; vacuous on
-        ``no_data``), a kind-specific ``compliance`` fraction (e.g.
-        fraction of decided time at or above the quality floor) and an
-        ``observed`` detail block.  The top level carries the overall
-        verdict and the violation count.
+        ``slos`` maps each armed objective to its record: threshold,
+        ``min_samples`` and description, a ``compliant`` verdict (no
+        violation fired; vacuous on ``no_data``), an objective-specific
+        ``compliance`` fraction (e.g. fraction of decided time at or
+        above the quality floor) and an ``observed`` detail block.  The
+        top level carries the overall verdict and the violation count.
         """
         slos: Dict[str, Any] = {}
-        for spec in self.specs:
-            compliance, observed, no_data = self._observed(spec)
-            violation = self._violations.get(spec.name)
-            slos[spec.name] = {
-                **spec.to_record(),
-                "compliant": violation is None,
-                "compliance": compliance,
-                "no_data": no_data,
-                "first_violation": dict(violation) if violation is not None else None,
-                "observed": observed,
-            }
+        decided = self._decided
+        if self._q_ge is not None:
+            if decided <= 0.0:
+                slos["quality_floor"] = self._row(
+                    "quality_floor", self._q_ge, 0, None, {"decided_time_s": 0.0}
+                )
+            else:
+                slos["quality_floor"] = self._row(
+                    "quality_floor", self._q_ge, 0, self._quality_ok / decided,
+                    {"decided_time_s": decided, "ok_time_s": self._quality_ok},
+                )
+        if self._budget is not None:
+            samples = self._power_samples
+            if samples == 0:
+                slos["power_budget"] = self._row(
+                    "power_budget", self._budget, 0, None, {"samples": 0}
+                )
+            else:
+                sketch = self._headroom
+                assert sketch is not None
+                observed: Dict[str, Any] = {
+                    "samples": samples,
+                    "headroom_min_w": sketch.min,
+                    "headroom_max_w": sketch.max,
+                }
+                for label, value in sketch.estimates().items():
+                    observed[f"headroom_{label}_w"] = value
+                slos["power_budget"] = self._row(
+                    "power_budget", self._budget, 0, self._power_ok / samples, observed
+                )
+        settled = self._settled
+        if settled == 0:
+            slos["deadline_miss"] = self._row(
+                "deadline_miss", MAX_MISS_RATE, RATE_MIN_SAMPLES, None,
+                {"settled": 0, "missed": 0},
+            )
+        else:
+            rate = self._missed / settled
+            slos["deadline_miss"] = self._row(
+                "deadline_miss", MAX_MISS_RATE, RATE_MIN_SAMPLES, 1.0 - rate,
+                {"settled": settled, "missed": self._missed, "miss_rate": rate},
+            )
+        if decided <= 0.0:
+            slos["bq_dwell"] = self._row(
+                "bq_dwell", MAX_BQ_DWELL, RATE_MIN_SAMPLES, None,
+                {"decided_time_s": 0.0},
+            )
+        else:
+            fraction = self._bq_time / decided
+            slos["bq_dwell"] = self._row(
+                "bq_dwell", MAX_BQ_DWELL, RATE_MIN_SAMPLES, 1.0 - fraction,
+                {"decided_time_s": decided, "bq_time_s": self._bq_time,
+                 "bq_fraction": fraction},
+            )
         return {
             "schema": SLO_SCHEMA,
             "compliant": not self._violations,

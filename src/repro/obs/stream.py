@@ -47,7 +47,7 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 from repro.obs.export import JsonlSpill, trace_records
 from repro.obs.registry import MetricsRegistry, QuantileSketch
 from repro.obs.runs import RUN_SCHEMA, format_run, run_id_for
-from repro.obs.slo import SLOTracker, default_slos
+from repro.obs.slo import SLOTracker
 from repro.obs.spans import EventRecord, SpanRecord
 from repro.obs.timeline import TimelineSample
 from repro.obs.tracer import Sink, Trace, Tracer
@@ -231,8 +231,9 @@ class StreamAggregator(Sink):
     def start(self, meta: Dict[str, Any], metrics: Optional[MetricsRegistry] = None) -> None:
         """Arm the aggregator from the run's metadata.
 
-        Window width derives from ``meta["horizon"]`` and the SLOs from
-        ``q_ge`` / ``budget`` (see :func:`repro.obs.slo.default_slos`).
+        Window width derives from ``meta["horizon"]`` and the SLO
+        thresholds from ``q_ge`` / ``budget`` (see
+        :class:`repro.obs.slo.SLOTracker`).
         The first call adopts ``meta`` (a tracer's live metadata) and
         ``metrics`` (its registry, which then holds the sketches and SLO
         metrics); later calls merge their keys — an offline replay may
@@ -250,10 +251,8 @@ class StreamAggregator(Sink):
         for name in ("quality", "queue_depth", "power_total_w",
                      "speed_mean_ghz", "reschedule_gap_s"):
             self.series[name] = WindowSeries(name, width=width)
-        self._gap_sketch = self.registry.quantiles(
-            "stream.reschedule_gap_s", qs=(0.5, 0.9, 0.99)
-        )
-        self.slo = SLOTracker(default_slos(self.meta), registry=self.registry)
+        self._gap_sketch = self.registry.quantiles("stream.reschedule_gap_s")
+        self.slo = SLOTracker(self.meta, self.registry)
         self._mode_start = float(self.meta.get("start", 0.0))
 
     def _require_started(self) -> None:
@@ -446,10 +445,11 @@ class StreamingTracer(Tracer):
     trace's records, in close order (pinned by
     ``tests/obs/test_stream.py``).
 
-    The SLOs are :func:`repro.obs.slo.default_slos` over the run
-    metadata (quality floor ``Q_GE``, power budget ``H``, deadline-miss
-    rate, BQ dwell); the machine-readable compliance summary, with each
-    SLO's first violation, lands in ``meta["slo"]`` at run end.
+    The SLOs are :class:`repro.obs.slo.SLOTracker`'s four fixed
+    objectives over the run metadata (quality floor ``Q_GE``, power
+    budget ``H``, deadline-miss rate, BQ dwell); the machine-readable
+    compliance summary, with each SLO's first violation, lands in
+    ``meta["slo"]`` at run end.
     """
 
     def __init__(self, *, spill_path: Optional[str] = None) -> None:

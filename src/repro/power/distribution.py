@@ -190,12 +190,9 @@ class WaterFilling(PowerDistributionPolicy):
 
     name = "WF"
 
-    def __init__(self, grant_surplus: bool = True) -> None:
-        self.grant_surplus = grant_surplus
-
     def distribute(self, demands: WattsArray, budget: PowerBudget) -> DistributionDecision:
         base = water_fill(demands, budget)
-        if self.grant_surplus and base.size:
+        if base.size:
             surplus = budget - float(np.sum(base))
             if surplus > 1e-12:
                 base = base + surplus / base.size

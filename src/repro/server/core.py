@@ -162,7 +162,7 @@ class Core:
     # ------------------------------------------------------------------
     # Plan management
     # ------------------------------------------------------------------
-    def set_plan(self, segments: List[Segment], *, notify_idle_if_empty: bool = False) -> None:
+    def set_plan(self, segments: List[Segment]) -> None:
         """Replace every queued segment with ``segments``.
 
         Any in-flight segment is interrupted *now*: the volume executed
@@ -177,7 +177,7 @@ class Core:
             )
         self._interrupt_current()
         self._pending = list(segments)
-        self._start_next(notify_idle_if_empty=notify_idle_if_empty)
+        self._start_next()
 
     def checkpoint(self) -> None:
         """Pause the core, crediting in-flight progress to its job.
@@ -196,7 +196,7 @@ class Core:
             )
         self._pending.append(segment)
         if not self.busy:
-            self._start_next(notify_idle_if_empty=False)
+            self._start_next()
 
     # ------------------------------------------------------------------
     # Chaos: failure and recovery (repro.chaos)
@@ -245,7 +245,7 @@ class Core:
             credited = self._interrupt_current()
         self._pending = [s for s in self._pending if s.job.jid != job.jid]
         if not self.busy:
-            self._start_next(notify_idle_if_empty=False)
+            self._start_next()
         return credited
 
     # ------------------------------------------------------------------
@@ -279,7 +279,8 @@ class Core:
         self.speed_timeline.set_value(now, 0.0)
         return done
 
-    def _start_next(self, *, notify_idle_if_empty: bool) -> None:
+    def _start_next(self) -> bool:
+        """Start the next runnable segment; False when out of work."""
         now = self.sim.now
         while self._pending:
             seg = self._pending.pop(0)
@@ -301,11 +302,9 @@ class Core:
             self._completion = self.sim.schedule(
                 duration, self._complete, priority=PRIORITY_LOW, name=self._completion_name
             )
-            return
-        # Out of work.
+            return True
         self.speed_timeline.set_value(now, 0.0)
-        if notify_idle_if_empty and self.on_idle is not None:
-            self.on_idle(self.index)
+        return False
 
     def _complete(self) -> None:
         seg = self._current
@@ -324,7 +323,8 @@ class Core:
             seg.job.settle(outcome)
             if self.on_settle is not None:
                 self.on_settle(seg.job)
-        self._start_next(notify_idle_if_empty=True)
+        if not self._start_next() and self.on_idle is not None:
+            self.on_idle(self.index)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

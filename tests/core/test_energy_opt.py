@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.energy_opt import (
+    BlockSpeed,
     energy_of_blocks,
     per_job_speeds,
     yds_schedule,
@@ -167,30 +170,58 @@ class TestYdsGeneral:
             yds_schedule_general([0.0, 0.0], [1.0], [1.0, 1.0])
 
 
+def _yds_ref(vols, dls, now, max_speed=math.inf):
+    """Verbatim copy of the retired vectorized `yds_schedule` loop."""
+    vols = np.asarray(vols, dtype=float)
+    dls = np.asarray(dls, dtype=float)
+    n = vols.size
+    blocks = []
+    start = 0
+    t = now
+    prefix = np.concatenate([[0.0], np.cumsum(vols)])
+    while start < n:
+        # Intensity of each candidate prefix of the remaining jobs.
+        cumulative = prefix[start + 1 :] - prefix[start]
+        spans = dls[start:] - t
+        if np.any(spans <= 0):
+            raise InfeasibleError("deadline at or before block start — infeasible batch")
+        intensity = cumulative / spans
+        peak = float(np.max(intensity))
+        # Prefer the longest prefix achieving the peak so equal-intensity
+        # jobs merge into one maximal critical block (canonical YDS).
+        k = int(np.nonzero(intensity >= peak * (1.0 - 1e-12))[0][-1])
+        speed = float(intensity[k])
+        if speed > max_speed * (1.0 + 1e-9):
+            raise InfeasibleError(
+                f"required speed {speed:.6g} exceeds cap {max_speed:.6g} units/s"
+            )
+        speed = min(speed, max_speed)
+        jobs = tuple(range(start, start + k + 1))
+        blocks.append(BlockSpeed(jobs=jobs, speed=speed))
+        t = t + float(cumulative[k]) / speed
+        start = start + k + 1
+    return blocks
+
+
 class TestSmallStaircaseBitwise:
-    """The pure-Python small-batch staircase must produce exactly the
-    same blocks (indices AND speed bits) as the vectorized numpy path —
-    the contract promised in `_yds_staircase_small`'s docstring."""
+    """The Python-list staircase must produce exactly the same blocks
+    (indices AND speed bits) as the vectorized NumPy loop it replaced
+    (:func:`_yds_ref`), on batches up to 64 jobs."""
 
     def _shape(self, blocks):
         return [(b.jobs, b.speed) for b in blocks]
 
-    def test_random_batches_bitwise_equal(self, monkeypatch):
-        import repro.core.energy_opt as eo
-
+    def test_random_batches_bitwise_equal(self):
         rng = np.random.default_rng(2024)
         for _ in range(300):
-            n = int(rng.integers(2, 33))
+            n = int(rng.integers(2, 65))
             vols = rng.uniform(0.1, 200.0, n)
             gaps = rng.uniform(0.0, 1.5, n)
             gaps[rng.uniform(size=n) < 0.3] = 0.0  # duplicate deadlines
             now = float(rng.uniform(0.0, 3.0))
             dls = now + 1e-3 + np.cumsum(gaps)
-            small = yds_schedule(vols, dls, now)
-            with monkeypatch.context() as m:
-                m.setattr(eo, "_SMALL_N", 0)  # force the numpy path
-                big = yds_schedule(vols, dls, now)
-            assert self._shape(small) == self._shape(big)
+            got = yds_schedule(vols, dls, now)
+            assert self._shape(got) == self._shape(_yds_ref(vols, dls, now))
 
     def test_list_and_array_inputs_agree(self):
         vols = [30.0, 10.0, 80.0, 5.0]

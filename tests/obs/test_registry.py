@@ -29,7 +29,7 @@ class TestGauge:
 
 class TestHistogram:
     def test_stats(self):
-        h = Histogram("sizes", bound=10.0, nbuckets=5)
+        h = Histogram("sizes", bound=10.0)
         for v in (1.0, 3.0, 9.0):
             h.observe(v)
         assert h.count == 3
@@ -39,19 +39,20 @@ class TestHistogram:
         assert h.mean == pytest.approx(13.0 / 3)
 
     def test_bucket_placement_and_overflow(self):
-        h = Histogram("x", bound=10.0, nbuckets=5)
+        h = Histogram("x", bound=10.0)
         h.observe(0.0)   # bucket 0
-        h.observe(9.9)   # bucket 4
+        h.observe(9.9)   # bucket 9
         h.observe(25.0)  # overflow
+        assert len(h.buckets) == 11
         assert h.buckets[0] == 1
-        assert h.buckets[4] == 1
-        assert h.buckets[5] == 1
+        assert h.buckets[9] == 1
+        assert h.buckets[10] == 1
 
     def test_overflow_underflow_counts_in_snapshot(self):
         # Out-of-range observations must be counted explicitly, not
         # silently folded into the edge buckets: overflow counts values
         # >= bound, underflow values < 0 (clamped into bucket 0).
-        h = Histogram("x", bound=10.0, nbuckets=5)
+        h = Histogram("x", bound=10.0)
         for v in (-2.0, -0.5, 5.0, 10.0, 25.0):
             h.observe(v)
         assert h.underflow == 2
@@ -65,7 +66,7 @@ class TestHistogram:
         assert snap["min"] == -2.0 and snap["max"] == 25.0
 
     def test_in_range_observations_leave_counts_zero(self):
-        h = Histogram("x", bound=10.0, nbuckets=5)
+        h = Histogram("x", bound=10.0)
         for v in (0.0, 5.0, 9.999):
             h.observe(v)
         assert h.overflow == 0 and h.underflow == 0

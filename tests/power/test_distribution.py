@@ -85,15 +85,15 @@ class TestPolicies:
         assert EqualSharing().distribute(np.array([]), 80.0).caps.size == 0
 
     def test_wf_grants_surplus(self):
-        wf = WaterFilling(grant_surplus=True)
+        wf = WaterFilling()
         decision = wf.distribute(np.array([10.0, 10.0]), 100.0)
         assert float(np.sum(decision.caps)) == pytest.approx(100.0)
         assert decision.caps == pytest.approx([50.0, 50.0])
 
     def test_wf_without_surplus(self):
-        wf = WaterFilling(grant_surplus=False)
-        decision = wf.distribute(np.array([10.0, 10.0]), 100.0)
-        assert decision.caps == pytest.approx([10.0, 10.0])
+        # The bare allocator leaves the surplus that WF's policy grants.
+        caps = water_fill(np.array([10.0, 10.0]), 100.0)
+        assert caps == pytest.approx([10.0, 10.0])
 
     def test_wf_scarce_budget_matches_water_fill(self):
         demands = np.array([5.0, 50.0, 45.0])

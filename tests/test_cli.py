@@ -466,3 +466,17 @@ def test_fleet_status_rejects_single_run_ids(tmp_path, capsys):
               for line in out.splitlines() if "stored run" in line][0]
     assert main(["fleet", "status", run_id, "--runs-dir", runs_dir]) == 2
     assert "not a fleet rollup" in capsys.readouterr().out
+
+
+def test_runs_show_prints_a_stored_fleet_as_fleet_status(tmp_path, capsys):
+    from repro.experiments.fleet import run_fleet
+    from repro.experiments.registry import fleet_grid
+
+    runs_dir = str(tmp_path / "runs")
+    tasks = fleet_grid(["ge_light"], [1], scale=0.002)
+    fleet_id = run_fleet(tasks, workers=1, runs_dir=runs_dir).fleet_id
+    assert main(["fleet", "status", fleet_id, "--runs-dir", runs_dir]) == 0
+    status = capsys.readouterr().out
+    assert main(["runs", "show", fleet_id, "--runs-dir", runs_dir]) == 0
+    assert capsys.readouterr().out == status
+    assert status.startswith(f"fleet {fleet_id}")
