@@ -15,11 +15,15 @@ import pytest
 
 from repro.core.cutting import lf_cut_waterline
 from repro.core.energy_opt import yds_schedule
+from repro.core.planner import build_core_plan
 from repro.core.quality_opt import quality_opt
 from repro.power.distribution import water_fill
+from repro.power.dvfs import ContinuousSpeedScale
+from repro.power.models import PowerModel
 from repro.quality.functions import ExponentialQuality
 from repro.sim.engine import Simulator
 from repro.sim.events import PRIORITY_LOW
+from repro.workload.job import Job
 
 F = ExponentialQuality(c=0.003, x_max=1000.0)
 RNG = np.random.default_rng(0)
@@ -32,6 +36,10 @@ POWER_DEMANDS_16 = RNG.uniform(0.0, 60.0, 16)
 #: 2.32 jobs per Quality-OPT call on average under overload (GE at 250/s)
 #: and never more than 7, so the small sizes are the ones that occur.
 SIZES = (1, 2, 3, 4, 8, 16, 32, 64)
+#: Jobs per core plan in the perfbench workloads: 1.03 on average on
+#: ``ge_light`` (30,365 of its 31,241 plans hold one job), 2.32 on
+#: ``ge_overload``, and never more than 7.
+PLAN_SIZES = (1, 2, 3, 7)
 
 
 def _batch(n):
@@ -41,6 +49,35 @@ def _batch(n):
     deadlines = np.sort(rng.uniform(0.01, 0.15, n)).tolist()
     offsets = rng.uniform(0.0, 300.0, n).tolist()
     return volumes, deadlines, offsets
+
+
+@pytest.mark.parametrize("n", PLAN_SIZES)
+def test_bench_core_plan_sweep(benchmark, n):
+    """One core plan (second cut, YDS, segments) at the equal share of the
+    default budget (20 W, so 2,000 units/s), with the cap memo GE passes.
+    Each job has ``offset`` units done and ``volume`` more to go."""
+    volumes, deadlines, offsets = _batch(n)
+    jobs = []
+    for jid, (v, d, o) in enumerate(zip(volumes, deadlines, offsets)):
+        job = Job(jid=jid, arrival=0.0, deadline=d, demand=o + v)
+        job.add_progress(o)
+        jobs.append(job)
+    targets = [job.demand for job in jobs]
+    model = PowerModel()
+    scale = ContinuousSpeedScale(model)
+    speed_cap = scale.max_speed_at_power(20.0)
+    plan = benchmark(
+        build_core_plan,
+        jobs,
+        targets,
+        0.0,
+        20.0,
+        model,
+        scale,
+        speed_cap=speed_cap,
+        capacity=model.throughput(speed_cap),
+    )
+    assert len({s.job.jid for s in plan.segments}) + len(plan.settle_now) == n
 
 
 def test_bench_lf_cut_64_jobs(benchmark):
@@ -57,7 +94,7 @@ def test_bench_quality_opt_32_jobs(benchmark):
     bounds = DEMANDS_64[:32]
     dls = DEADLINES_64[:32]
     out = benchmark(quality_opt, bounds, dls, 0.0, 2000.0)
-    assert out.shape == (32,)
+    assert len(out) == 32
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -66,7 +103,7 @@ def test_bench_quality_opt_sweep(benchmark, n):
     # Half the work fits by the last deadline, so prefixes bind.
     capacity = 0.5 * sum(bounds) / dls[-1]
     out = benchmark(quality_opt, bounds, dls, 0.0, capacity, offsets)
-    assert out.sum() < sum(bounds)
+    assert sum(out) < sum(bounds)
 
 
 @pytest.mark.parametrize("n", SIZES)

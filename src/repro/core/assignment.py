@@ -24,6 +24,11 @@ __all__ = ["AssignmentPolicy", "CumulativeRoundRobin", "RoundRobin", "LeastLoade
 class AssignmentPolicy(ABC):
     """Maps a batch of queued jobs onto core indices."""
 
+    #: Whether :meth:`assign` reads ``loads`` at all.  The round-robin
+    #: variants do not, so the scheduler skips summing every active
+    #: job's remaining volume for them and passes an empty sequence.
+    needs_loads: bool = True
+
     def __init__(self, m: int) -> None:
         if m <= 0:
             raise ConfigurationError(f"core count must be positive, got {m!r}")
@@ -34,12 +39,15 @@ class AssignmentPolicy(ABC):
         """Return ``(job, core_index)`` pairs for the whole batch.
 
         ``loads`` is the current per-core remaining volume, provided
-        for load-aware policies; round-robin variants ignore it.
+        for load-aware policies (``needs_loads``); round-robin variants
+        ignore it.
         """
 
 
 class RoundRobin(AssignmentPolicy):
     """RR: each batch starts again from core 0."""
+
+    needs_loads = False
 
     def assign(self, jobs: Sequence[Job], loads: VolumeSeq) -> List[Tuple[Job, int]]:
         return [(job, i % self.m) for i, job in enumerate(jobs)]
@@ -47,6 +55,8 @@ class RoundRobin(AssignmentPolicy):
 
 class CumulativeRoundRobin(AssignmentPolicy):
     """C-RR: the round-robin pointer survives across batches."""
+
+    needs_loads = False
 
     def __init__(self, m: int) -> None:
         super().__init__(m)

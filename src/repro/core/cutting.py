@@ -170,6 +170,7 @@ def lf_cut_waterline(
         targets = np.zeros_like(demands_arr)  # history surplus covers the batch
     else:
         top = max(d)
+        width = _TOL * max(1.0, top)  # the bracket width that stops the search
         lo, hi = 0.0, top
         for _ in range(_MAX_ITER):
             mid = 0.5 * (lo + hi)
@@ -179,7 +180,7 @@ def lf_cut_waterline(
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= _TOL * max(1.0, top):
+            if hi - lo <= width:
                 break
         targets = np.array([dj if dj < hi else hi for dj in d])
     if memo is not None:

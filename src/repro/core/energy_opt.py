@@ -33,12 +33,13 @@ from repro.units import Seconds, SecondsSeq, Speed, SpeedArray, VolumeSeq
 __all__ = ["BlockSpeed", "yds_schedule", "yds_schedule_general"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockSpeed:
     """One staircase step of the YDS profile.
 
     ``jobs`` are indices into the input arrays; every job in the block
-    runs at the same constant ``speed`` (units/second).
+    runs at the same constant ``speed`` (units/second).  A slotted
+    record: the planner builds one per block on every replan.
     """
 
     jobs: Tuple[int, ...]
@@ -85,14 +86,10 @@ def yds_schedule(
     the same float comparisons, so the blocks equal, bit for bit, those
     of the vectorized NumPy oracle in ``tests/core/test_energy_opt.py``.
     """
-    if isinstance(volumes, np.ndarray):
-        vlist = volumes.tolist()
-    else:
-        vlist = [float(v) for v in volumes]
-    if isinstance(deadlines, np.ndarray):
-        dlist = deadlines.tolist()
-    else:
-        dlist = [float(d) for d in deadlines]
+    vlist = volumes.tolist() if isinstance(volumes, np.ndarray) else list(map(float, volumes))
+    dlist = (
+        deadlines.tolist() if isinstance(deadlines, np.ndarray) else list(map(float, deadlines))
+    )
     n = len(vlist)
     if n != len(dlist):
         raise ValueError("volumes and deadlines must have equal length")
@@ -112,7 +109,7 @@ def yds_schedule(
             raise InfeasibleError(
                 f"required speed {speed:.6g} exceeds cap {max_speed:.6g} units/s"
             )
-        return [BlockSpeed(jobs=(0,), speed=min(speed, max_speed))]
+        return [BlockSpeed((0,), min(speed, max_speed))]
     for v in vlist:
         if v <= 0:
             raise ValueError(
@@ -161,7 +158,7 @@ def yds_schedule(
                 f"required speed {speed:.6g} exceeds cap {max_speed:.6g} units/s"
             )
         speed = min(speed, max_speed)
-        blocks.append(BlockSpeed(jobs=tuple(range(start, start + k_sel + 1)), speed=speed))
+        blocks.append(BlockSpeed(tuple(range(start, start + k_sel + 1)), speed))
         t = t + (prefix[start + k_sel + 1] - base) / speed
         start += k_sel + 1
     return blocks

@@ -31,7 +31,7 @@ from repro.core.cutting import WaterlineMemo, lf_cut_waterline
 from repro.core.load import ArrivalRateEstimator
 from repro.core.modes import ExecutionMode, ModeController
 from repro.core.planner import build_core_plan, core_power_demand, edf_sort
-from repro.units import PerSecond, QualityFrac, Seconds, Volume, WattsArray
+from repro.units import PerSecond, QualityFrac, Seconds, Volume, VolumeSeq, WattsArray
 from repro.power.distribution import EqualSharing, PowerDistributionPolicy, WaterFilling
 from repro.server.scheduler import Scheduler
 from repro.workload.job import Job
@@ -69,7 +69,8 @@ class GEScheduler(Scheduler):
         paper's cut is batch-local (history off): deficits are repaired
         only by the BQ compensation switch, which is what makes the
         Fig. 5 ablation meaningful.  The history variant is kept as an
-        ablation (see ``benchmarks/test_ablation_cut_history.py``).
+        ablation (see
+        ``benchmarks/test_ablations.py::test_ablation_cut_history``).
     assignment:
         Batch assignment policy; defaults to C-RR.
     name:
@@ -296,7 +297,11 @@ class GEScheduler(Scheduler):
                 harness.requeue_job(job)
             batch = []
         if batch:
-            assigned = self._assignment.assign(batch, self._core_loads())
+            # Only a load-aware policy gets the per-core remaining volume
+            # (C-RR ignores it), as ES skips the per-core power demands.
+            assignment = self._assignment
+            loads: VolumeSeq = self._core_loads() if assignment.needs_loads else ()
+            assigned = assignment.assign(batch, loads)
             if self._failed_cores:
                 # C-RR is blind to failures; bounce dead-core picks to
                 # the next alive core (chaos only — no-op otherwise).
@@ -307,13 +312,21 @@ class GEScheduler(Scheduler):
                 if tracing:
                     tracer.job_assigned(job, core_idx, now)
 
-        # Refresh active sets: drop settled jobs and jobs whose deadline
-        # has passed (their expiry event settles them this instant).
+        # Refresh active sets in one pass: drop settled jobs, and leave
+        # out of this round's plan jobs whose deadline has passed (their
+        # expiry event settles them this instant).  Only a core holding
+        # two or more live jobs needs the EDF sort.
         per_core: List[List[Job]] = []
-        for idx in range(machine.m):
-            live = [j for j in self._active[idx] if not j.settled and j.deadline > now]
-            self._active[idx] = [j for j in self._active[idx] if not j.settled]
-            per_core.append(edf_sort(live))
+        for idx, active in enumerate(self._active):
+            pending: List[Job] = []
+            live: List[Job] = []
+            for j in active:
+                if not j.settled:
+                    pending.append(j)
+                    if j.deadline > now:
+                        live.append(j)
+            self._active[idx] = pending
+            per_core.append(edf_sort(live) if len(live) > 1 else live)
 
         # 2. Mode decision (compensation policy).
         if not self.cutting:
@@ -364,6 +377,8 @@ class GEScheduler(Scheduler):
             )
         self._last_policy = dist_policy
 
+        # The caps as floats, once per round (== float(caps[idx])).
+        cap_list: List[float] = caps.tolist()
         if tracing:
             tracer.decision(Decision(
                 time=now,
@@ -372,13 +387,12 @@ class GEScheduler(Scheduler):
                 batch_size=len(batch),
                 active_jobs=len(all_jobs),
                 monitor_quality=harness.monitor.quality,
-                caps=tuple(float(c) for c in caps),
+                caps=tuple(cap_list),
             ))
 
         # 5. Per-core planning and installation.
         quality_opt_calls = 0
         energy_opt_calls = 0
-        caps_n = len(caps)
         for idx, jobs in enumerate(per_core):
             core = machine.cores[idx]
             if not jobs:
@@ -388,7 +402,7 @@ class GEScheduler(Scheduler):
                 if core.has_work:
                     core.set_plan([])
                 continue
-            cap = float(caps[idx]) if caps_n else 0.0
+            cap = cap_list[idx] if cap_list else 0.0
             cap_memo = self._cap_memo[idx]
             if cap_memo is not None and cap_memo[0] == cap:
                 speed_cap, capacity = cap_memo[1], cap_memo[2]

@@ -20,16 +20,16 @@ deadline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.energy_opt import yds_schedule
 from repro.core.quality_opt import quality_opt
-from repro.power.dvfs import DiscreteSpeedScale, SpeedScale
+from repro.power.dvfs import SpeedScale
 from repro.power.models import PowerModel
-from repro.units import Gigahertz, Seconds, Speed, VolumeSeq, Watts
+from repro.units import Gigahertz, Seconds, Speed, Volume, VolumeSeq, Watts
 from repro.server.core import Segment
 from repro.workload.job import Job, JobOutcome
 
@@ -75,7 +75,7 @@ def core_power_demand(
     return model.power(model.speed_for_throughput(float(peak)))
 
 
-@dataclass
+@dataclass(slots=True)
 class CorePlan:
     """Outcome of planning one core at one trigger.
 
@@ -88,8 +88,8 @@ class CorePlan:
         (first- or second-cut discards and already-finished targets).
     """
 
-    segments: List[Segment] = field(default_factory=list)
-    settle_now: List[Tuple[Job, JobOutcome]] = field(default_factory=list)
+    segments: List[Segment]
+    settle_now: List[Tuple[Job, JobOutcome]]
 
 
 def _immediate_outcome(job: Job) -> JobOutcome:
@@ -136,20 +136,30 @@ def build_core_plan(
         ``power_cap``, so schedulers that replan the same cap every
         round memoize them per core; when omitted they are computed
         here.
+
+    Raises
+    ------
+    ValueError
+        ``targets`` and ``jobs`` differ in length.
     """
-    plan = CorePlan()
     if not jobs:
-        return plan
-    # The hot path works on Python lists: per-element scalar arithmetic
-    # is bitwise equal to the elementwise numpy expressions it replaced
-    # and several times cheaper on the small per-core batches planned
-    # here.  Only the custom-allocator branch still builds arrays (its
-    # implementations expect them).
-    processed = [j.processed for j in jobs]
-    extras = []
-    for t, p in zip(targets, processed):
+        return CorePlan([], [])
+    if len(targets) != len(jobs):
+        raise ValueError("targets must match jobs")
+    # The hot path walks the batch once on Python lists: per-element
+    # scalar arithmetic is bitwise equal to the elementwise numpy
+    # expressions it replaced and several times cheaper on the small
+    # per-core batches planned here.  Only the custom-allocator branch
+    # builds arrays (its implementations expect them).
+    processed: List[Volume] = []
+    extras: List[Volume] = []
+    deadlines: List[Seconds] = []
+    for job, t in zip(jobs, targets):
+        p = job.processed
         e = float(t) - p
+        processed.append(p)
         extras.append(e if e > 0.0 else 0.0)  # == np.maximum(0.0, t - p)
+        deadlines.append(job.deadline)
 
     if speed_cap is None:
         speed_cap = scale.max_speed_at_power(power_cap)
@@ -157,11 +167,12 @@ def build_core_plan(
         capacity = model.throughput(speed_cap)  # units/second at the cap
 
     # Second cut: fit the extras into the capacity before each deadline.
-    deadlines = [j.deadline for j in jobs]
     if allocator is None:
-        granted = quality_opt(extras, deadlines, now, capacity, offsets=processed)
+        granted: List[Volume] = quality_opt(
+            extras, deadlines, now, capacity, offsets=processed
+        )
     else:
-        granted = allocator(
+        custom = allocator(
             jobs,
             np.asarray(extras, dtype=float),
             np.asarray(deadlines, dtype=float),
@@ -169,21 +180,25 @@ def build_core_plan(
             capacity,
             np.asarray(processed, dtype=float),
         )
-    glist = granted.tolist() if isinstance(granted, np.ndarray) else list(granted)
+        granted = custom.tolist() if isinstance(custom, np.ndarray) else list(map(float, custom))
 
-    live_idx = [i for i in range(len(jobs)) if glist[i] > _WORK_EPS]
-    for i in range(len(jobs)):
-        if glist[i] <= _WORK_EPS:
-            plan.settle_now.append((jobs[i], _immediate_outcome(jobs[i])))
-    if not live_idx:
-        return plan
+    settle_now: List[Tuple[Job, JobOutcome]] = []
+    live_jobs: List[Job] = []
+    live_vols: List[Volume] = []
+    live_dls: List[Seconds] = []
+    for job, g, d in zip(jobs, granted, deadlines):
+        if g > _WORK_EPS:
+            live_jobs.append(job)
+            live_vols.append(g)
+            live_dls.append(d)
+        else:
+            settle_now.append((job, _immediate_outcome(job)))
+    if not live_jobs:
+        return CorePlan([], settle_now)
 
-    live_vols = [glist[i] for i in live_idx]
-    live_dls = [deadlines[i] for i in live_idx]
-    blocks = yds_schedule(live_vols, live_dls, now, max_speed=capacity * (1 + 1e-9))
-
-    discrete = isinstance(scale, DiscreteSpeedScale)
-    for block in blocks:
+    segments: List[Segment] = []
+    discrete = scale.discrete
+    for block in yds_schedule(live_vols, live_dls, now, max_speed=capacity * (1 + 1e-9)):
         speed_ghz = model.speed_for_throughput(block.speed)
         if discrete:
             # Round the staircase step up to the ladder (finishing early
@@ -192,9 +207,6 @@ def build_core_plan(
             speed_ghz = max(speed_ghz, 1e-12)
         else:
             speed_ghz = min(speed_ghz, speed_cap)
-        for local_j in block.jobs:
-            job = jobs[live_idx[local_j]]
-            plan.segments.append(
-                Segment(job=job, volume=float(live_vols[local_j]), speed=speed_ghz)
-            )
-    return plan
+        for k in block.jobs:
+            segments.append(Segment(live_jobs[k], live_vols[k], speed_ghz))
+    return CorePlan(segments, settle_now)

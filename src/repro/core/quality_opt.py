@@ -26,7 +26,8 @@ scans O(k) breakpoints at O(k) each, so the worst case is O(n⁴).  The
 batches a core plans are tiny: 2.32 jobs per call on average on the
 overloaded perfbench workload (GE at 250/s), and never more than 7 on
 any of them.  The code therefore runs on Python scalars, because NumPy's
-per-call dispatch would cost more than the arithmetic.
+per-call dispatch would cost more than the arithmetic, and it returns
+the list it builds: its caller, the planner, works on lists too.
 
 The scalar code performs the same IEEE-754 operations in the same order
 as the original NumPy formulation (kept verbatim in
@@ -141,7 +142,7 @@ def quality_opt(
     now: Seconds,
     capacity_per_second: Speed,
     offsets: Optional[VolumeSeq] = None,
-) -> VolumeArray:
+) -> List[Volume]:
     """Optimal extra volumes under prefix capacity constraints.
 
     Parameters
@@ -162,8 +163,9 @@ def quality_opt(
 
     Returns
     -------
-    Extra-volume vector ``x`` with ``0 ≤ x ≤ bounds``, prefix-feasible,
-    maximizing ``Σ f(offset + x)`` for any common concave ``f``.
+    Extra volumes ``x`` as a list of floats, with ``0 ≤ x ≤ bounds``,
+    prefix-feasible, maximizing ``Σ f(offset + x)`` for any common
+    concave ``f``.
 
     Raises
     ------
@@ -188,7 +190,7 @@ def quality_opt(
     if n != len(dlist):
         raise ValueError("bounds and deadlines must have equal length")
     if n == 0:
-        return np.zeros(0)
+        return []
     for b in blist:
         if not (b >= 0.0):
             raise ValueError("bounds must be non-negative")
@@ -213,7 +215,7 @@ def quality_opt(
             raise InfeasibleError("a deadline lies in the past")
         caps.append(c if c > 0.0 else 0.0)  # == np.maximum(c, 0.0)
     if n == 1:
-        return np.array([min(blist[0], caps[0])])
+        return [min(blist[0], caps[0])]
 
     out: List[float] = []
     start = 0
@@ -248,4 +250,4 @@ def quality_opt(
         out.extend(alloc)
         consumed += _sum(alloc)
         start = best_end
-    return np.array(out)
+    return out

@@ -86,6 +86,14 @@ _RESULT_FIELDS = (
     "duration",
 )
 
+#: Fleet rollup fields a fleet diff compares: the task totals, then each
+#: scenario's row (see :func:`repro.experiments.fleet.fleet_rollup`).
+_FLEET_TASK_FIELDS = ("total", "succeeded", "failed")
+_FLEET_SCENARIO_FIELDS = (
+    "tasks", "slo_compliant", "slo_evaluated",
+    "quality_min", "quality_mean", "quality_max", "energy_sum",
+)
+
 
 def _slug(text: str) -> str:
     out = []
@@ -305,18 +313,36 @@ def _numeric_delta(a: Any, b: Any) -> Dict[str, Any]:
 
 
 def diff_runs(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
-    """Structured comparison of two ``repro.run/1`` summaries.
+    """Structured comparison of two stored summaries of one schema.
 
-    Sections: changed ``meta`` keys, numeric ``result`` deltas, per-SLO
-    compliance and counter deltas.  Identical values are omitted from
-    ``meta``/``counters`` so the diff surfaces what moved.
+    Two ``repro.run/1`` summaries give: changed ``meta`` keys, numeric
+    ``result`` deltas, per-SLO compliance and counter deltas.  Two
+    ``repro.fleet/1`` rollups give changed ``meta`` keys, the task
+    totals and, per scenario, tasks, SLO compliant/evaluated, Q
+    min/mean/max and the energy sum.  Identical values are omitted from
+    ``meta``/``counters`` so the diff surfaces what moved.  The diff's
+    ``schema`` key names which of the two it is.
+
+    Raises
+    ------
+    ReproError
+        The two summaries have different schemas (a run against a fleet).
     """
+    schema_a = a.get("schema", RUN_SCHEMA)
+    schema_b = b.get("schema", RUN_SCHEMA)
+    if schema_a != schema_b:
+        raise ReproError(
+            f"cannot diff a {schema_a} summary ({a.get('run_id')}) against a "
+            f"{schema_b} summary ({b.get('run_id')})"
+        )
     meta_a, meta_b = a.get("meta", {}), b.get("meta", {})
     meta_diff = {
         key: {"a": meta_a.get(key), "b": meta_b.get(key)}
         for key in sorted(set(meta_a) | set(meta_b))
         if key != "slo" and meta_a.get(key) != meta_b.get(key)
     }
+    if schema_a == FLEET_SCHEMA:
+        return _diff_fleets(a, b, meta_diff)
 
     result_a, result_b = a.get("result") or {}, b.get("result") or {}
     result_diff = {
@@ -354,11 +380,39 @@ def diff_runs(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     }
 
     return {
+        "schema": RUN_SCHEMA,
         "runs": {"a": a.get("run_id"), "b": b.get("run_id")},
         "meta": meta_diff,
         "result": result_diff,
         "slo": slo_diff,
         "counters": counter_diff,
+    }
+
+
+def _diff_fleets(
+    a: Dict[str, Any], b: Dict[str, Any], meta_diff: Dict[str, Any]
+) -> Dict[str, Any]:
+    """The fleet half of :func:`diff_runs`: the rollups' numbers."""
+    rollup_a, rollup_b = a.get("rollup") or {}, b.get("rollup") or {}
+    tasks_a, tasks_b = rollup_a.get("tasks") or {}, rollup_b.get("tasks") or {}
+    scenarios_a = rollup_a.get("scenarios") or {}
+    scenarios_b = rollup_b.get("scenarios") or {}
+    scenario_diff: Dict[str, Any] = {}
+    for name in sorted(set(scenarios_a) | set(scenarios_b)):
+        row_a, row_b = scenarios_a.get(name) or {}, scenarios_b.get(name) or {}
+        scenario_diff[name] = {
+            field: _numeric_delta(row_a.get(field), row_b.get(field))
+            for field in _FLEET_SCENARIO_FIELDS
+        }
+    return {
+        "schema": FLEET_SCHEMA,
+        "runs": {"a": a.get("run_id"), "b": b.get("run_id")},
+        "meta": meta_diff,
+        "tasks": {
+            field: _numeric_delta(tasks_a.get(field), tasks_b.get(field))
+            for field in _FLEET_TASK_FIELDS
+        },
+        "scenarios": scenario_diff,
     }
 
 
@@ -563,20 +617,34 @@ def format_fleet(summary: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def _arrow(row: Dict[str, Any]) -> str:
+    """``a → b``, with the ratio when both are numbers and ``a`` is not 0."""
+    arrow = f"{_fmt(row['a'])} → {_fmt(row['b'])}"
+    if "ratio" in row:
+        arrow += f"  ({row['ratio']:.4g}x)"
+    return arrow
+
+
 def format_diff(diff: Dict[str, Any]) -> str:
-    """Render :func:`diff_runs` output as human-readable text."""
+    """Render :func:`diff_runs` output (a run or a fleet diff) as text."""
     lines = [f"diff {diff['runs']['a']} → {diff['runs']['b']}"]
     if diff["meta"]:
         lines.append("  config:")
         for key, row in diff["meta"].items():
             lines.append(f"    {key}: {_fmt(row['a'])} → {_fmt(row['b'])}")
+    if diff.get("schema") == FLEET_SCHEMA:
+        lines.append("  tasks:")
+        for field, row in diff["tasks"].items():
+            lines.append(f"    {field:<18} {_arrow(row)}")
+        for name, fields in diff["scenarios"].items():
+            lines.append(f"  scenario {name}:")
+            for field, row in fields.items():
+                lines.append(f"    {field:<18} {_arrow(row)}")
+        return "\n".join(lines)
     if diff["result"]:
         lines.append("  result:")
         for field, row in diff["result"].items():
-            arrow = f"{_fmt(row['a'])} → {_fmt(row['b'])}"
-            if "ratio" in row:
-                arrow += f"  ({row['ratio']:.4g}x)"
-            lines.append(f"    {field:<18} {arrow}")
+            lines.append(f"    {field:<18} {_arrow(row)}")
     if diff["slo"]:
         lines.append("  slo:")
         for name, row in diff["slo"].items():

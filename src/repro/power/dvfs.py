@@ -29,6 +29,11 @@ __all__ = ["SpeedScale", "ContinuousSpeedScale", "DiscreteSpeedScale"]
 class SpeedScale(ABC):
     """Which speeds a core may run at, given the power model."""
 
+    #: Whether speeds are restricted to a finite ladder, so the planner
+    #: rounds each staircase step up with :meth:`ceil` (a class constant:
+    #: an attribute read is cheaper than an ABC ``isinstance`` per plan).
+    discrete: bool = False
+
     def __init__(self, model: PowerModel) -> None:
         self.model = model
 
@@ -89,6 +94,8 @@ class DiscreteSpeedScale(SpeedScale):
         paper does not publish its ladder; the default 0.25 GHz steps
         up to 3 GHz bracket the 2 GHz average speed of the setup.
     """
+
+    discrete = True
 
     def __init__(
         self,

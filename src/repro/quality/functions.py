@@ -70,9 +70,13 @@ class QualityFunction(ABC):
                 raise ValueError("processed volume must be non-negative")
             return self._value_scalar(min(float(x), self.x_max))
         if type(x) is np.float64:  # the array path's numerics for a 0-d input
-            if x < 0:
+            # Check and clamp (as ``min`` would) on a Python float, which is
+            # cheaper per LF-cut bisection step; ``_value`` keeps NumPy's numerics.
+            v = float(x)
+            if v < 0:
                 raise ValueError("processed volume must be non-negative")
-            return float(self._value(np.float64(min(x, self.x_max))))
+            x_max = self.x_max
+            return float(self._value(np.float64(x_max) if x_max < v else x))
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0):
             raise ValueError("processed volume must be non-negative")

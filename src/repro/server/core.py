@@ -36,9 +36,12 @@ __all__ = ["Core", "Segment"]
 _VOLUME_EPS = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     """An execution order: run ``job`` for ``volume`` units at ``speed``.
+
+    A slotted record: every plan of every GE round builds one per
+    planned job.
 
     Attributes
     ----------

@@ -74,3 +74,11 @@ def test_least_loaded_requires_matching_loads():
 def test_invalid_core_count():
     with pytest.raises(ConfigurationError):
         RoundRobin(m=0)
+
+
+def test_only_least_loaded_reads_the_loads():
+    """The round-robin variants declare that they ignore ``loads``."""
+    assert RoundRobin.needs_loads is False
+    assert CumulativeRoundRobin.needs_loads is False
+    assert LeastLoaded.needs_loads is True
+    assert cores_of(CumulativeRoundRobin(m=3).assign(jobs(4), ())) == [0, 1, 2, 0]

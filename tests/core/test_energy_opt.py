@@ -239,3 +239,95 @@ class TestSmallStaircaseBitwise:
             yds_schedule([0.0], [1.0], 0.0)
         with pytest.raises(InfeasibleError, match="not after"):
             yds_schedule([1.0], [1.0], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Optimality certificate.  It reads only the inputs and the blocks, never a
+# helper of energy_opt.py, so it checks the staircase rather than the method.
+# ---------------------------------------------------------------------------
+
+
+def assert_yds_certified(vols, dls, now, blocks, tight_rel=1e-9, peak_rel=1e-12):
+    """Assert that ``blocks`` is the minimum-energy staircase (no cap).
+
+    With every job released at ``now`` and EDF-ordered deadlines, YDS runs
+    consecutive critical intervals: each block starts where the previous
+    one ended (at ``now`` first), its jobs are the next ones in EDF order,
+    and it runs at the highest intensity ``Σ v / (d_k − start)`` over the
+    prefixes of the jobs left at its start.  The certificate checks that
+    every block is tight (its jobs finish at its last deadline, within
+    ``tight_rel``) and that no such prefix is more intense than the
+    block's speed (within ``peak_rel``, plus ``n`` ulps of the volume
+    total up to the prefix over its span: a staircase may take a block's
+    volume as the difference of two running totals, and a small block
+    after large ones then keeps only the totals' absolute precision).
+    """
+    n = len(vols)
+    order = [j for block in blocks for j in block.jobs]
+    assert order == list(range(n)), f"blocks do not cover the jobs in order: {order}"
+    totals = []
+    total = 0.0
+    for v in vols:
+        total += v
+        totals.append(total)
+    start_time = now
+    for block in blocks:
+        first, last = block.jobs[0], block.jobs[-1]
+        finish = start_time + sum(vols[first : last + 1]) / block.speed
+        assert math.isclose(finish, dls[last], rel_tol=tight_rel), (
+            f"block {block.jobs} ends at {finish!r}, not at its deadline {dls[last]!r}"
+        )
+        volume = 0.0
+        for k in range(first, n):
+            volume += vols[k]
+            span = dls[k] - start_time
+            intensity = volume / span
+            rounding = n * math.ulp(totals[k]) / span
+            assert intensity <= block.speed * (1.0 + peak_rel) + rounding, (
+                f"prefix {first}..{k} needs {intensity!r} > block speed {block.speed!r}"
+            )
+        start_time = dls[last]
+
+
+@st.composite
+def _yds_batches(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    vols = draw(st.lists(st.floats(min_value=0.1, max_value=500.0), min_size=n, max_size=n))
+    # Zero gaps give shared deadlines; distinct deadlines stay 0.01 s
+    # apart, so a block start's float error stays far below 1e-12 of a span.
+    gaps = draw(
+        st.lists(st.just(0.0) | st.floats(0.01, 0.5), min_size=n - 1, max_size=n - 1)
+    )
+    now = draw(st.floats(min_value=0.0, max_value=5.0))
+    first = draw(st.floats(min_value=0.01, max_value=0.5))
+    dls = (now + first + np.cumsum([0.0] + gaps)).tolist()
+    return vols, dls, now
+
+
+class TestOptimalityCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(batch=_yds_batches())
+    def test_staircase_is_certified_optimal(self, batch):
+        vols, dls, now = batch
+        assert_yds_certified(vols, dls, now, yds_schedule(vols, dls, now))
+
+    def test_small_block_after_large_ones(self):
+        """Found by hypothesis: job 8's speed is 1.6e-12 relative below
+        its exact intensity, the rounding of 2048.123 - 2048.0."""
+        vols = [1.0, 1.0, 1.0, 45.0, 500.0, 500.0, 500.0, 500.0, 0.12304296310886674]
+        dls = [0.5] * 8 + [1.0]
+        assert_yds_certified(vols, dls, 0.0, yds_schedule(vols, dls, 0.0))
+
+    def test_certificate_rejects_wrong_staircases(self):
+        vols, dls = [200.0, 10.0], [0.5, 10.0]
+        assert_yds_certified(vols, dls, 0.0, yds_schedule(vols, dls, 0.0))
+        # One block at the average speed: job 0 alone is more intense.
+        with pytest.raises(AssertionError, match="prefix 0..0"):
+            assert_yds_certified(vols, dls, 0.0, [BlockSpeed((0, 1), 21.0)])
+        # Faster than needed: the first block finishes before its deadline.
+        with pytest.raises(AssertionError, match="not at its deadline"):
+            assert_yds_certified(
+                vols, dls, 0.0, [BlockSpeed((0,), 500.0), BlockSpeed((1,), 10.0 / 9.5)]
+            )
+        with pytest.raises(AssertionError, match="in order"):
+            assert_yds_certified(vols, dls, 0.0, [BlockSpeed((1,), 1.0), BlockSpeed((0,), 1.0)])

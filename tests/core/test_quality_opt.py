@@ -43,7 +43,14 @@ class TestQualityOpt:
         assert out == pytest.approx([0.0, 0.0])
 
     def test_empty_input(self):
-        assert quality_opt([], [], 0.0, 100.0).size == 0
+        assert quality_opt([], [], 0.0, 100.0) == []
+
+    def test_returns_a_list_of_floats(self):
+        """The grant is the list the scalar code builds, never an array."""
+        for bounds, cap in (([5.0], 2.0), ([300.0, 300.0, 50.0], 250.0), ([1, 2], 1e6)):
+            out = quality_opt(bounds, [1.0] * len(bounds), 0.0, cap)
+            assert type(out) is list
+            assert all(type(x) is float for x in out)
 
     def test_equalizes_volumes_under_shared_deadline(self):
         """With one shared deadline and concave f, the optimum levels
@@ -150,7 +157,7 @@ class TestQualityOpt:
     )
     def test_property_feasible_and_bounded(self, bounds, gaps, capacity):
         dls = list(np.cumsum(gaps[: len(bounds)]))
-        out = quality_opt(bounds, dls, 0.0, capacity)
+        out = np.asarray(quality_opt(bounds, dls, 0.0, capacity))
         assert np.all(out >= -1e-9)
         assert np.all(out <= np.asarray(bounds) + 1e-9)
         assert prefix_feasible(out, capacity * np.asarray(dls), rel_tol=1e-6)
@@ -245,7 +252,7 @@ class TestOptimalityCertificate:
     @given(batch=_batches())
     def test_grant_is_certified_optimal(self, batch):
         bounds, deadlines, now, capacity, offsets = batch
-        x = quality_opt(bounds, deadlines, now, capacity, offsets=offsets).tolist()
+        x = quality_opt(bounds, deadlines, now, capacity, offsets=offsets)
         assert_certified(bounds, deadlines, now, capacity, offsets, x)
 
     def test_certificate_rejects_suboptimal_grants(self):
@@ -269,6 +276,11 @@ class TestOptimalityCertificate:
 # ---------------------------------------------------------------------------
 
 _EPS = 1e-12
+
+
+def _bits(values):
+    """The IEEE-754 bytes of a grant, list or array (sign of zero included)."""
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def _waterline_ref(offsets, bounds, budget):
@@ -369,7 +381,7 @@ class TestBitwiseAgainstReference:
             bounds, dls, now, cap, offs = self._random_case(rng)
             got = quality_opt(bounds, dls, now, cap, offsets=offs)
             ref = _quality_opt_ref(bounds, dls, now, cap, offsets=offs)
-            assert got.tolist() == ref.tolist()
+            assert _bits(got) == _bits(ref)
 
     def test_large_batches_bitwise_equal(self):
         """8 to 64 jobs: past 7 elements ``np.sum`` leaves its
@@ -379,7 +391,7 @@ class TestBitwiseAgainstReference:
             bounds, dls, now, cap, offs = self._random_case(rng, low=8, high=65)
             got = quality_opt(bounds, dls, now, cap, offsets=offs)
             ref = _quality_opt_ref(bounds, dls, now, cap, offsets=offs)
-            assert got.tobytes() == ref.tobytes()
+            assert _bits(got) == _bits(ref)
 
     def test_generous_capacity_hits_fast_path_bitwise(self):
         rng = np.random.default_rng(99)
@@ -390,7 +402,7 @@ class TestBitwiseAgainstReference:
             cap = float(np.sum(bounds)) * 10.0  # every prefix fits
             got = quality_opt(bounds, deadlines, 0.0, cap)
             ref = _quality_opt_ref(bounds, deadlines, 0.0, cap)
-            assert got.tolist() == ref.tolist() == bounds.tolist()
+            assert _bits(got) == _bits(ref) == _bits(bounds)
 
     def test_list_and_array_inputs_agree(self):
         rng = np.random.default_rng(7)
@@ -404,7 +416,7 @@ class TestBitwiseAgainstReference:
                 cap,
                 offsets=None if offs is None else offs.tolist(),
             )
-            assert from_arrays.tolist() == from_lists.tolist()
+            assert _bits(from_arrays) == _bits(from_lists)
 
     def test_row_reduction_matches_per_point_scan(self):
         """The breakpoint allocations of a waterline solve agree bit for
@@ -423,9 +435,9 @@ class TestBitwiseAgainstReference:
             assert rows.tolist() == [_sum(row) for row in clipped.tolist()]
 
     def test_single_job_edge_cases(self):
-        assert quality_opt([5.0], [2.0], 0.0, 10.0).tolist() == [5.0]
-        assert quality_opt([5.0], [1.0], 0.0, 2.0).tolist() == [2.0]
-        assert quality_opt([5.0], [1.0], 1.0, 2.0).tolist() == [0.0]
+        assert quality_opt([5.0], [2.0], 0.0, 10.0) == [5.0]
+        assert quality_opt([5.0], [1.0], 0.0, 2.0) == [2.0]
+        assert _bits(quality_opt([5.0], [1.0], 1.0, 2.0)) == _bits([0.0])
         with pytest.raises(ValueError, match="non-negative"):
             quality_opt([-1.0], [1.0], 0.0, 2.0)
         with pytest.raises(InfeasibleError):
@@ -449,9 +461,9 @@ class TestBitwiseAgainstReference:
         def checked(bounds, deadlines, now, capacity, offsets=None):
             got = quality_opt(bounds, deadlines, now, capacity, offsets=offsets)
             ref = _quality_opt_ref(bounds, deadlines, now, capacity, offsets=offsets)
-            if got.tobytes() != ref.tobytes():
+            if _bits(got) != _bits(ref):
                 mismatches.append((bounds, deadlines, now, capacity, offsets))
-            calls.append(len(bounds) > 1 and got.tolist() != list(bounds))
+            calls.append(len(bounds) > 1 and got != list(bounds))
             return got
 
         monkeypatch.setattr(planner, "quality_opt", checked)

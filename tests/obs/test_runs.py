@@ -20,7 +20,7 @@ from repro.obs import (
     run_id_for,
     write_report,
 )
-from repro.obs.runs import RUN_SCHEMA
+from repro.obs.runs import FLEET_SCHEMA, RUN_SCHEMA
 from repro.server.harness import SimulationHarness
 
 
@@ -231,6 +231,13 @@ class TestDiffAndRendering:
         quality = diff["result"]["quality"]
         assert quality["delta"] == pytest.approx(quality["b"] - quality["a"])
         assert "quality_floor" in diff["slo"] or "deadline_miss" in diff["slo"]
+
+    def test_diff_refuses_a_run_against_a_fleet(self, ge_doc):
+        fleet = {"schema": FLEET_SCHEMA, "run_id": "fleet-x", "meta": {}, "rollup": {}}
+        with pytest.raises(ReproError, match="repro.run/1.*repro.fleet/1"):
+            diff_runs(ge_doc, fleet)
+        with pytest.raises(ReproError, match="repro.fleet/1.*repro.run/1"):
+            diff_runs(fleet, ge_doc)
 
     def test_diff_of_identical_runs_is_quiet(self, ge_doc):
         diff = diff_runs(ge_doc, ge_doc)

@@ -73,3 +73,15 @@ class TestDiscrete:
         with pytest.raises(ConfigurationError):
             DiscreteSpeedScale(MODEL, levels=[0.0, 1.0])
 
+
+
+def test_discrete_flag_names_the_ladder_scales():
+    """The planner rounds staircase steps up exactly when ``discrete``."""
+    model = PowerModel()
+    assert ContinuousSpeedScale(model).discrete is False
+    assert DiscreteSpeedScale(model).discrete is True
+
+    class Ladder(DiscreteSpeedScale):
+        pass
+
+    assert Ladder(model, levels=[1.0]).discrete is True

@@ -138,6 +138,32 @@ class TestReporting:
         # After the run everything settled: loads are zero.
         assert sched._core_loads() == [0.0, 0.0]
 
+    def test_only_a_load_aware_policy_gets_the_loads(self, monkeypatch):
+        """C-RR ignores ``loads``, so GE never sums them for it; a policy
+        that reads them (``needs_loads``) gets every core's remaining
+        volume, as before."""
+        from repro.core.assignment import LeastLoaded
+
+        seen = []
+
+        class Spy(LeastLoaded):
+            def assign(self, jobs, loads):
+                seen.append(list(loads))
+                return super().assign(jobs, loads)
+
+        sched = GEScheduler(assignment=Spy(2))
+        h, _ = harness_with(burst(6, window=1.0), scheduler=sched)
+        h.run()
+        assert seen and all(len(loads) == 2 for loads in seen)
+        assert any(sum(loads) > 0.0 for loads in seen)
+
+        def unwanted(self):
+            raise AssertionError("C-RR does not read the core loads")
+
+        monkeypatch.setattr(GEScheduler, "_core_loads", unwanted)
+        h, sched = harness_with(burst(6, window=1.0))
+        assert h.run().jobs == 6
+
 
 class _CacheClearingGE(GEScheduler):
     """GE with every cross-round cache wiped at the top of each round:

@@ -480,3 +480,38 @@ def test_runs_show_prints_a_stored_fleet_as_fleet_status(tmp_path, capsys):
     assert main(["runs", "show", fleet_id, "--runs-dir", runs_dir]) == 0
     assert capsys.readouterr().out == status
     assert status.startswith(f"fleet {fleet_id}")
+
+
+def test_runs_diff_of_two_fleets_compares_their_rollups(tmp_path, capsys):
+    """Two fleets diff on their rollups (a fleet keeps its numbers under
+    ``rollup``, not ``result``); a run against a fleet is refused."""
+    from repro.experiments.fleet import run_fleet
+    from repro.experiments.registry import fleet_grid
+
+    runs_dir = str(tmp_path / "runs")
+    fleets = [
+        run_fleet(fleet_grid(["ge_light"], [seed], scale=0.002), workers=1, runs_dir=runs_dir)
+        for seed in (1, 2)
+    ]
+    rows = [f.summary["rollup"]["scenarios"]["ge_light"] for f in fleets]
+    assert rows[0]["quality_mean"] != rows[1]["quality_mean"]
+    assert rows[0]["energy_sum"] != rows[1]["energy_sum"]
+
+    assert main(["runs", "diff", fleets[0].fleet_id, fleets[1].fleet_id,
+                 "--runs-dir", runs_dir]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"diff {fleets[0].fleet_id} → {fleets[1].fleet_id}"
+    assert "  tasks:" in out and "  scenario ge_light:" in out
+    body = out[out.index("  scenario ge_light:") + 1:]
+    for field in ("tasks", "slo_compliant", "slo_evaluated", "quality_min",
+                  "quality_mean", "quality_max", "energy_sum"):
+        a, b = rows[0][field], rows[1][field]
+        assert any(
+            line.startswith(f"    {field:<18} {a:.6g} → {b:.6g}") for line in body
+        ), field
+
+    task_run = fleets[0].summary["tasks"][0]["run_id"]
+    assert main(["runs", "diff", task_run, fleets[1].fleet_id,
+                 "--runs-dir", runs_dir]) == 2
+    refused = capsys.readouterr().out
+    assert "repro.run/1" in refused and "repro.fleet/1" in refused
